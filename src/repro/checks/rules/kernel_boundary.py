@@ -1,10 +1,11 @@
 """REP002 — kernel boundary: only the public kernel API crosses it.
 
 ``repro.core.kernels`` pins three interchangeable backends bit-identical
-to each other; that guarantee holds *only* for the seven public entry
-points, which normalize dtypes/contiguity before dispatch.  Importing a
-backend module (``_numpy`` / ``_numba`` / ``_cext`` / ``_csrc``)
-directly skips the normalization and the selection logic; redefining a
+to each other; that guarantee holds *only* for the public entry points
+(seven kernels and three ``bind_*`` forms), which normalize
+dtypes/contiguity before dispatch.  Importing a backend module
+(``_numpy`` / ``_numba`` / ``_cext`` / ``_csrc``) directly skips the
+normalization and the selection logic; redefining a
 function with a public kernel's name outside the package reintroduces
 the exact drift the equivalence suite exists to prevent (a reimplemented
 loop is never re-pinned against the golden fixtures).
@@ -22,6 +23,7 @@ from . import dotted
 PUBLIC_KERNELS = {
     "if_step", "cuba_step", "trace_update", "delta_w", "delta_w_batch",
     "delta_w_loihi", "sum_of_products",
+    "bind_if_step", "bind_cuba_step", "bind_trace_update",
 }
 
 #: Private backend modules of the kernels package.

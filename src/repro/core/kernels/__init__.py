@@ -24,6 +24,34 @@ above wins, with a single ``RuntimeWarning`` if only NumPy is left.  The
 ``ValueError``, a known-but-unavailable one raises ``ImportError`` — an
 explicit request must never silently degrade.
 
+Bound kernels
+-------------
+The per-timestep kernels run tens of thousands of times per sample on
+microsecond-sized arrays, so re-validating and re-marshalling every
+argument on every call costs far more than the arithmetic.
+:func:`bind_cuba_step`, :func:`bind_if_step` and :func:`bind_trace_update`
+therefore return a :class:`BoundKernel`: the persistent state arrays
+(membrane, current, refractory counters, bias, trace values) and the
+static parameters are checked once — dtype, shape, C-contiguity — and the
+compiled backend caches their addresses.  Each call then passes only the
+per-step operand (synaptic input, drive or spikes), which is copied into a
+buffer owned by the binding, and returns a fresh spike array (``None`` for
+traces).  Results are bit-identical to the unbound kernels.
+
+Invariants:
+
+* the bound state arrays must stay alive and in place.  A binding mutates
+  the arrays it was given; an owner that *replaces* one (``set_bias``,
+  a checkpoint load, a replicated twin) must bind again.  Owners detect
+  this with :meth:`BoundKernel.bound_to`, an identity check.
+* a binding re-resolves itself against the active backend whenever
+  :func:`select_backend` (and so :func:`forced_backend`) has run since it
+  last resolved: ``select_backend`` bumps a generation counter the binding
+  compares on every call.  ``REPRO_KERNEL_BACKEND=numpy`` and a forced
+  NumPy replay therefore still run the reference code.
+* bound calls report to ``obs.kernel_profiler`` under the unbound
+  kernel's name.
+
 The backends are pinned bit-identical to each other — exact
 ``np.array_equal``, never ``allclose`` — by ``tests/test_kernels.py`` and
 the golden fixtures in ``tests/golden/``, because the EMSTDP learning rule
@@ -35,6 +63,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import operator
 import os
 import warnings
 from typing import Optional, Tuple
@@ -42,7 +71,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 __all__ = [
-    "available_backends", "backend_name", "cuba_step", "delta_w",
+    "BoundKernel", "available_backends", "backend_name", "bind_cuba_step",
+    "bind_if_step", "bind_trace_update", "cuba_step", "delta_w",
     "delta_w_batch", "delta_w_loihi", "forced_backend", "if_step",
     "select_backend", "sum_of_products", "trace_update",
 ]
@@ -79,6 +109,9 @@ _LOADERS = {
 
 _active_name: Optional[str] = None
 _active_impl = None
+#: Bumped by every :func:`select_backend`; bound kernels re-resolve when
+#: it moves.
+_generation = 0
 
 
 def select_backend(name: Optional[str] = None) -> str:
@@ -89,7 +122,8 @@ def select_backend(name: Optional[str] = None) -> str:
     Autodetection walks :data:`BACKENDS` in order and warns once if it has
     to degrade all the way to pure NumPy.
     """
-    global _active_name, _active_impl
+    global _active_name, _active_impl, _generation
+    _generation += 1
     if name is not None:
         key = str(name).strip().lower()
         if key not in _LOADERS:
@@ -255,6 +289,136 @@ def trace_update(values: np.ndarray, spikes, impulse: float, decay: float,
                          float(trace_max))
     if v_back is not None:
         v_back()
+
+
+# ----------------------------------------------------------------------
+# Bound kernels (see "Bound kernels" in the module docstring)
+# ----------------------------------------------------------------------
+
+_I64 = (np.dtype(np.int64),)
+
+
+def _bindable(shape, dtypes, **arrays) -> None:
+    """Reject state a binding cannot cache: wrong dtype/shape, views."""
+    for name, a in arrays.items():
+        if not isinstance(a, np.ndarray) or a.dtype not in dtypes:
+            raise TypeError(
+                f"bound {name} must be a numpy array with dtype in "
+                f"{[str(d) for d in dtypes]}, got "
+                f"{getattr(a, 'dtype', type(a))}")
+        if a.shape != shape:
+            raise ValueError(f"bound {name} has shape {a.shape}, "
+                             f"expected {shape}")
+        if not a.flags.c_contiguous:
+            raise ValueError(
+                f"bound {name} must be C-contiguous; the unbound kernel "
+                f"accepts strided views")
+
+
+def _generic_run(fn, args, out, params):
+    """Run a backend's flat kernel on the bound views (no native binding)."""
+    if out is None:
+        return functools.partial(fn, *args, *params)
+
+    def run():
+        np.copyto(out, fn(*args, *params))
+    return run
+
+
+class BoundKernel:
+    """A per-timestep kernel bound to persistent state arrays.
+
+    Built by :func:`bind_cuba_step`, :func:`bind_if_step` and
+    :func:`bind_trace_update`.  Calling it with the per-step operand
+    advances the bound state in place and returns a fresh boolean spike
+    array with the state's shape (``None`` for a trace update).  The
+    operand is broadcast and cast to the bound buffer exactly as the
+    unbound kernel's ``np.asarray(..., dtype)`` would.
+    """
+
+    __slots__ = ("name", "state", "_params", "_operand", "_out",
+                 "_generation", "_step")
+
+    def __init__(self, name: str, state, params: tuple, operand_dtype,
+                 spikes: bool):
+        self.name = name
+        #: The bound arrays, in the kernel's argument order.
+        self.state = tuple(state)
+        self._params = params
+        shape = self.state[0].shape
+        self._operand = np.zeros(shape, dtype=operand_dtype)
+        self._out = np.zeros(shape, dtype=bool) if spikes else None
+        self._generation = None
+        self._step = None
+
+    def bound_to(self, *arrays) -> bool:
+        """Whether ``arrays`` are the bound state arrays (by identity)."""
+        return len(arrays) == len(self.state) and all(
+            map(operator.is_, arrays, self.state))
+
+    def __call__(self, operand):
+        if self._generation != _generation:
+            self._resolve()
+        return self._step(operand)
+
+    def _resolve(self) -> None:
+        """Bind to the active backend (native binding when it has one)."""
+        operand, out = self._operand, self._out
+        args = [a.reshape(-1) for a in (*self.state, operand)]
+        out_flat = None if out is None else out.reshape(-1)
+        bind = getattr(_active_impl, "bind_" + self.name, None)
+        if bind is None:
+            run = _generic_run(getattr(_active_impl, self.name), args,
+                               out_flat, self._params)
+        elif out is None:
+            run = bind(*args, *self._params)
+        else:
+            run = bind(*args, out_flat, *self._params)
+
+        def step(x):
+            np.copyto(operand, x, casting="unsafe")
+            run()
+            if out is not None:
+                return out.copy()
+
+        self._step = _obs.kernel_profiler.wrap(self.name, step)
+        self._generation = _generation
+
+
+def bind_if_step(v: np.ndarray, refrac: np.ndarray, threshold: float,
+                 soft_reset: bool = True, refractory: int = 0
+                 ) -> BoundKernel:
+    """:func:`if_step` bound to ``v`` and ``refrac``; call with ``drive``."""
+    shape = np.shape(v)
+    _bindable(shape, _FLOAT_DTYPES, v=v)
+    _bindable(shape, _I64, refrac=refrac)
+    return BoundKernel("if_step", (v, refrac),
+                       (float(threshold), bool(soft_reset), int(refractory)),
+                       v.dtype, spikes=True)
+
+
+def bind_cuba_step(u: np.ndarray, v: np.ndarray, refrac: np.ndarray,
+                   bias: np.ndarray, decay_u: int, decay_v: int, vth: int,
+                   soft_reset: bool = True, refractory: int = 0,
+                   floor_at_zero: bool = True,
+                   non_spiking: bool = False) -> BoundKernel:
+    """:func:`cuba_step` bound to ``u``, ``v``, ``refrac`` and ``bias``;
+    call with ``syn_input``."""
+    _bindable(np.shape(v), _I64, u=u, v=v, refrac=refrac, bias=bias)
+    return BoundKernel("cuba_step", (u, v, refrac, bias),
+                       (int(decay_u), int(decay_v), int(vth),
+                        bool(soft_reset), int(refractory),
+                        bool(floor_at_zero), bool(non_spiking)),
+                       np.int64, spikes=True)
+
+
+def bind_trace_update(values: np.ndarray, impulse: float, decay: float,
+                      trace_max: float) -> BoundKernel:
+    """:func:`trace_update` bound to ``values``; call with ``spikes``."""
+    _bindable(np.shape(values), _FLOAT_DTYPES, values=values)
+    return BoundKernel("trace_update", (values,),
+                       (float(impulse), float(decay), float(trace_max)),
+                       bool, spikes=False)
 
 
 def _dw_operands(*arrays):

@@ -19,6 +19,7 @@ lets the sharded Loihi runtime's thread pool overlap shard steps for real.
 from __future__ import annotations
 
 import ctypes
+import functools
 import hashlib
 import os
 import shutil
@@ -149,8 +150,10 @@ for _name, _argtypes in {
     _fn.restype = None
 
 
-def _p(a: np.ndarray):
-    return a.ctypes.data_as(_ptr)
+def _p(a: np.ndarray) -> int:
+    # The plain-int address: half the cost of ``a.ctypes.data_as``, and
+    # the c_void_p argtypes accept it unchanged.
+    return a.ctypes.data
 
 
 def _float_fn(stem: str, dtype):
@@ -158,29 +161,54 @@ def _float_fn(stem: str, dtype):
                    else f"{stem}_f32")
 
 
+def _bound_call(fn, *args):
+    """``fn`` with every argument converted to its ctypes type once."""
+    return functools.partial(
+        fn, *(ctype(arg) for ctype, arg in zip(fn.argtypes, args)))
+
+
 # -- backend interface (flat arrays; normalization done by the package) ----
+#
+# ``bind_*`` return a zero-argument call over cached addresses (see
+# ``BoundKernel`` in the package); the unbound form binds and calls once.
+
+def bind_if_step(v, refrac, drive, spikes, threshold, soft_reset,
+                 refractory):
+    return _bound_call(_float_fn("if_step", v.dtype), _p(v), _p(refrac),
+                       _p(drive), threshold, soft_reset, refractory,
+                       _p(spikes), v.size)
+
 
 def if_step(v, refrac, drive, threshold, soft_reset, refractory):
     spikes = np.empty(v.size, dtype=bool)
-    _float_fn("if_step", v.dtype)(
-        _p(v), _p(refrac), _p(drive), threshold, int(soft_reset),
-        refractory, _p(spikes), v.size)
+    bind_if_step(v, refrac, drive, spikes, threshold, soft_reset,
+                 refractory)()
     return spikes
+
+
+def bind_cuba_step(u, v, refrac, bias, syn, fired, decay_u, decay_v, vth,
+                   soft_reset, refractory, floor_at_zero, non_spiking):
+    return _bound_call(_lib.cuba_step_i64, _p(u), _p(v), _p(refrac),
+                       _p(bias), _p(syn), decay_u, decay_v, vth, soft_reset,
+                       refractory, floor_at_zero, non_spiking, _p(fired),
+                       v.size)
 
 
 def cuba_step(u, v, refrac, bias, syn, decay_u, decay_v, vth, soft_reset,
               refractory, floor_at_zero, non_spiking):
     fired = np.empty(v.size, dtype=bool)
-    _lib.cuba_step_i64(
-        _p(u), _p(v), _p(refrac), _p(bias), _p(syn), decay_u, decay_v, vth,
-        int(soft_reset), refractory, int(floor_at_zero), int(non_spiking),
-        _p(fired), v.size)
+    bind_cuba_step(u, v, refrac, bias, syn, fired, decay_u, decay_v, vth,
+                   soft_reset, refractory, floor_at_zero, non_spiking)()
     return fired
 
 
+def bind_trace_update(values, spikes, impulse, decay, trace_max):
+    return _bound_call(_float_fn("trace_update", values.dtype), _p(values),
+                       _p(spikes), impulse, decay, trace_max, values.size)
+
+
 def trace_update(values, spikes, impulse, decay, trace_max):
-    _float_fn("trace_update", values.dtype)(
-        _p(values), _p(spikes), impulse, decay, trace_max, values.size)
+    bind_trace_update(values, spikes, impulse, decay, trace_max)()
 
 
 def delta_w(h_hat, h, pre, eta):

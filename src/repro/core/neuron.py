@@ -63,6 +63,7 @@ class IFLayer:
         self.v = np.zeros(shape)
         self.spike_count = np.zeros(shape, dtype=np.int64)
         self._refrac_left = np.zeros(shape, dtype=np.int64)
+        self._kernel = None
 
     def reset(self) -> None:
         """Clear all state (membrane potential, counters, refractory)."""
@@ -90,9 +91,12 @@ class IFLayer:
         # floor(u/theta) does not model.  The whole update runs in the
         # selected kernel backend, mutating v and the refractory counters
         # in place.
-        spikes = kernels.if_step(self.v, self._refrac_left, drive,
-                                 self.threshold, soft_reset=self.soft_reset,
-                                 refractory=self.refractory)
+        k = self._kernel
+        if k is None or not k.bound_to(self.v, self._refrac_left):
+            k = self._kernel = kernels.bind_if_step(
+                self.v, self._refrac_left, self.threshold,
+                soft_reset=self.soft_reset, refractory=self.refractory)
+        spikes = k(drive)
         self.spike_count += spikes
         return spikes
 

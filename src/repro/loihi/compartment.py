@@ -123,6 +123,7 @@ class CompartmentGroup:
         self.spikes = np.zeros(shape, dtype=bool)
         self.spike_count = np.zeros(shape, dtype=np.int64)
         self._refrac = np.zeros(shape, dtype=np.int64)
+        self._kernel: Optional[kernels.BoundKernel] = None
         #: Optional gate: a group whose ``active()`` mask ANDs our spikes.
         self.gate_group: Optional["CompartmentGroup"] = None
         #: Host-controlled enable flag (the phase gate used by the trainer).
@@ -161,7 +162,7 @@ class CompartmentGroup:
             raise ValueError(
                 f"bias must have shape {self.state_shape} (or ({self.n},)), "
                 f"got {bias.shape}")
-        self.bias = bias.astype(np.int64)
+        self.bias = np.array(bias, dtype=np.int64, order="C")
 
     def set_bias_mant(self, bias_mant: np.ndarray) -> None:
         """Program biases via Loihi's mantissa convention."""
@@ -210,19 +211,12 @@ class CompartmentGroup:
         if not self.enabled:
             self.spikes = np.zeros(self.state_shape, dtype=bool)
             return self.spikes
-        syn_input = np.asarray(syn_input, dtype=np.int64)
-        p = self.proto
         # Current decay/accumulation (Eq. 8, forward-Euler, integer), leak,
         # threshold, reset and refractory bookkeeping all run in the
         # selected kernel backend, mutating u, v and the refractory
         # counters in place.
-        fired = kernels.cuba_step(self.u, self.v, self._refrac, self.bias,
-                                  syn_input, p.decay_u, p.decay_v, p.vth,
-                                  soft_reset=p.soft_reset,
-                                  refractory=p.refractory,
-                                  floor_at_zero=p.floor_at_zero,
-                                  non_spiking=p.non_spiking)
-        if p.non_spiking:
+        fired = self._bound_kernel()(syn_input)
+        if self.proto.non_spiking:
             self.spikes = np.zeros(self.state_shape, dtype=bool)
             return self.spikes
         if self.gate_group is not None:
@@ -233,6 +227,20 @@ class CompartmentGroup:
         self.spikes = fired
         self.spike_count += fired
         return fired
+
+    def _bound_kernel(self) -> kernels.BoundKernel:
+        """The compartment kernel bound to the current state arrays
+        (bound again after ``set_bias`` or anything else replaced one)."""
+        k = self._kernel
+        if k is None or not k.bound_to(self.u, self.v, self._refrac,
+                                       self.bias):
+            p = self.proto
+            k = self._kernel = kernels.bind_cuba_step(
+                self.u, self.v, self._refrac, self.bias, p.decay_u,
+                p.decay_v, p.vth, soft_reset=p.soft_reset,
+                refractory=p.refractory, floor_at_zero=p.floor_at_zero,
+                non_spiking=p.non_spiking)
+        return k
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<CompartmentGroup {self.name!r} n={self.n}>"

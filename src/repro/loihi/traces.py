@@ -13,6 +13,7 @@ Traces saturate at 7 bits (127) like the hardware's trace registers.
 from __future__ import annotations
 
 import dataclasses
+from typing import Optional
 
 import numpy as np
 
@@ -57,14 +58,19 @@ class TraceState:
         self.shape = (self.n,) if self.replicas == 1 \
             else (self.replicas, self.n)
         self.values = np.zeros(self.shape, dtype=np.float64)
+        self._kernel: Optional[kernels.BoundKernel] = None
 
     def update(self, spikes: np.ndarray) -> None:
         """One timestep: decay, then add the impulse where spikes occurred."""
         spikes = np.asarray(spikes, dtype=bool)
         if spikes.shape != self.shape:
             raise ValueError(f"spikes must have shape {self.shape}")
-        kernels.trace_update(self.values, spikes, self.config.impulse,
-                             self.config.decay, TRACE_MAX)
+        k = self._kernel
+        if k is None or not k.bound_to(self.values):
+            k = self._kernel = kernels.bind_trace_update(
+                self.values, self.config.impulse, self.config.decay,
+                TRACE_MAX)
+        k(spikes)
 
     def read(self) -> np.ndarray:
         """Integer trace values as the learning engine sees them."""

@@ -153,6 +153,17 @@ def test_rep002_allowed_inside_kernels_package():
     assert check_source(src, "src/repro/loihi/x.py") != []
 
 
+def test_rep002_flags_redefined_bound_kernels():
+    src = _fixture("rep002_bound_bad")
+    findings = check_source(src, "src/repro/loihi/example.py",
+                            rules=get_rules(["REP002"]))
+    assert sorted(f.message.split("(")[0] for f in findings) == [
+        "def bind_cuba_step", "def bind_if_step", "def bind_trace_update"]
+    # Inside the kernels package the same definitions are the real ones.
+    assert check_source(src, "src/repro/core/kernels/__init__.py",
+                        rules=get_rules(["REP002"])) == []
+
+
 def test_hidden_rule_not_in_default_set():
     default_ids = {r.id for r in checks.default_rules()}
     all_ids = {r.id for r in checks.all_rules()}

@@ -306,6 +306,285 @@ class TestGoldenFixtures:
 
 
 # ----------------------------------------------------------------------
+# Bound kernels: identical to the unbound ones, re-resolved on change
+# ----------------------------------------------------------------------
+
+def _assert_identical(got, ref):
+    assert len(got) == len(ref)
+    for i, (g, r) in enumerate(zip(got, ref)):
+        assert g.dtype == r.dtype and g.shape == r.shape, i
+        assert np.array_equal(g, r), f"bound output {i} differs"
+
+
+def _assert_fresh(spikes):
+    """Every step returned its own array, not a view of a shared buffer."""
+    for a, b in zip(spikes, spikes[1:]):
+        assert not np.shares_memory(a, b)
+
+
+@pytest.mark.parametrize("backend", AVAILABLE)
+class TestBoundKernels:
+    @pytest.mark.parametrize("shape", [(0,), (1,), (6,), (3, 9)])
+    @pytest.mark.parametrize("cfg", TestCubaStep.CONFIGS)
+    def test_cuba_step(self, backend, shape, cfg):
+        decay_u, decay_v, soft, refr, floor, non_spiking = cfg
+        rng = np.random.default_rng(13)
+        syn = rng.integers(-4000, 9000, (5,) + shape)
+        bias = rng.integers(0, 2000, shape)
+        kw = dict(soft_reset=soft, refractory=refr, floor_at_zero=floor,
+                  non_spiking=non_spiking)
+
+        def run(bound):
+            u, v, refrac = (np.zeros(shape, dtype=np.int64)
+                            for _ in range(3))
+            if bound:
+                step = kernels.bind_cuba_step(u, v, refrac, bias.copy(),
+                                              decay_u, decay_v, 256 << 6,
+                                              **kw)
+                fired = [step(s) for s in syn]
+            else:
+                fired = [kernels.cuba_step(u, v, refrac, bias, s, decay_u,
+                                           decay_v, 256 << 6, **kw)
+                         for s in syn]
+            return (u, v, refrac, *fired)
+
+        with kernels.forced_backend(backend):
+            got = run(bound=True)
+            _assert_identical(got, run(bound=False))
+        _assert_fresh(got[3:])
+
+    @pytest.mark.parametrize("shape", TestIFStep.SHAPES)
+    @pytest.mark.parametrize("dtype", FLOATS)
+    @pytest.mark.parametrize("soft_reset,refractory",
+                             [(True, 0), (False, 0), (True, 2)])
+    def test_if_step(self, backend, shape, dtype, soft_reset, refractory):
+        rng = np.random.default_rng(7)
+        drives = rng.uniform(-0.5, 1.5, (6,) + shape)
+
+        def run(bound):
+            v = np.zeros(shape, dtype=dtype)
+            refrac = np.zeros(shape, dtype=np.int64)
+            kw = dict(soft_reset=soft_reset, refractory=refractory)
+            if bound:
+                step = kernels.bind_if_step(v, refrac, 0.75, **kw)
+                spikes = [step(d) for d in drives]  # float64 -> dtype cast
+            else:
+                spikes = [kernels.if_step(v, refrac, d, 0.75, **kw)
+                          for d in drives]
+            return (v, refrac, *spikes)
+
+        with kernels.forced_backend(backend):
+            got = run(bound=True)
+            _assert_identical(got, run(bound=False))
+        _assert_fresh(got[2:])
+
+    @pytest.mark.parametrize("shape", [(0,), (1,), (9,), (1, 6), (4, 11)])
+    @pytest.mark.parametrize("dtype", FLOATS)
+    @pytest.mark.parametrize("impulse,decay", [(1, 1.0), (16, 0.7),
+                                               (127, 0.5)])
+    def test_trace_update(self, backend, shape, dtype, impulse, decay):
+        spikes = np.random.default_rng(19).random((6,) + shape) < 0.4
+
+        def run(bound):
+            values = np.zeros(shape, dtype=dtype)
+            step = kernels.bind_trace_update(values, impulse, decay, 127)
+            for s in spikes:
+                if bound:
+                    assert step(s) is None
+                else:
+                    kernels.trace_update(values, s, impulse, decay, 127)
+            return (values,)
+
+        with kernels.forced_backend(backend):
+            _assert_identical(run(bound=True), run(bound=False))
+
+    def test_operand_broadcast_and_cast_like_unbound(self, backend):
+        """Scalars and (n,) rows broadcast; floats truncate as asarray."""
+        def run(bound):
+            u, v, refrac = (np.zeros((2, 4), dtype=np.int64)
+                            for _ in range(3))
+            bias = np.zeros((2, 4), dtype=np.int64)
+            operands = (7000, np.arange(4) * 3000, np.full(4, 9000.9))
+            if bound:
+                step = kernels.bind_cuba_step(u, v, refrac, bias, 512, 128,
+                                              256 << 6)
+                fired = [step(x) for x in operands]
+            else:
+                fired = [kernels.cuba_step(u, v, refrac, bias, x, 512, 128,
+                                           256 << 6) for x in operands]
+            return (u, v, *fired)
+
+        with kernels.forced_backend(backend):
+            _assert_identical(run(bound=True), run(bound=False))
+
+
+class TestBindValidation:
+    def test_rejects_views_dtypes_and_shape_mismatch(self):
+        v = np.zeros((3, 8))
+        refrac = np.zeros((3, 8), dtype=np.int64)
+        with pytest.raises(ValueError, match="C-contiguous"):
+            kernels.bind_if_step(v[:, ::2], refrac[:, ::2], 1.0)
+        with pytest.raises(TypeError, match="dtype"):
+            kernels.bind_if_step(v.astype(np.int64), refrac, 1.0)
+        with pytest.raises(ValueError, match="shape"):
+            kernels.bind_if_step(v, refrac[:2], 1.0)
+        with pytest.raises(TypeError, match="dtype"):
+            kernels.bind_cuba_step(refrac, refrac.copy(), refrac.copy(),
+                                   v, 4096, 0, 64)
+        with pytest.raises(TypeError):
+            kernels.bind_trace_update([0.0, 1.0], 1, 1.0, 127)
+
+    def test_bound_to_is_an_identity_check(self):
+        values = np.zeros(4)
+        step = kernels.bind_trace_update(values, 1, 1.0, 127)
+        assert step.bound_to(values)
+        assert not step.bound_to(values.copy())
+        assert not step.bound_to(values, values)
+
+    def test_bound_calls_are_profiled_under_the_kernel_name(self):
+        from repro import obs
+        values = np.zeros(4)
+        step = kernels.bind_trace_update(values, 1, 1.0, 127)
+        before = obs.kernel_profiler.snapshot().get(
+            "trace_update", {"calls": 0})["calls"]
+        sample = obs.kernel_profiler.sample
+        obs.kernel_profiler.sample = 1
+        try:
+            for _ in range(3):
+                step(np.ones(4, dtype=bool))
+        finally:
+            obs.kernel_profiler.sample = sample
+        after = obs.kernel_profiler.snapshot()["trace_update"]["calls"]
+        assert after - before == 3
+
+
+def _spy_numpy(monkeypatch, name):
+    """Count calls to the NumPy backend's ``name`` kernel."""
+    from repro.core.kernels import _numpy
+    calls = []
+    real = getattr(_numpy, name)
+
+    def spy(*args):
+        calls.append(1)
+        return real(*args)
+    monkeypatch.setattr(_numpy, name, spy)
+    return calls
+
+
+class TestBoundOwners:
+    """Owners of bound state re-bind when an array or the backend changes."""
+
+    @pytest.mark.skipif(not COMPILED, reason="no compiled backend")
+    def test_backend_change_reaches_a_bound_group(self, monkeypatch):
+        from repro.loihi import CompartmentGroup, if_prototype
+        calls = _spy_numpy(monkeypatch, "cuba_step")
+        group = CompartmentGroup(5, if_prototype(), replicas=2)
+        group.set_bias(np.full(5, 7000))
+        with kernels.forced_backend(COMPILED[0]):
+            group.step(np.zeros((2, 5), dtype=np.int64))
+            assert calls == []
+            with kernels.forced_backend("numpy"):
+                group.step(np.zeros((2, 5), dtype=np.int64))
+                assert calls == [1]
+            group.step(np.zeros((2, 5), dtype=np.int64))
+            assert calls == [1]
+
+    @pytest.mark.parametrize("backend", AVAILABLE)
+    def test_set_bias_rebinds(self, backend):
+        from repro.loihi import CompartmentGroup, if_prototype
+        proto = if_prototype(vth_mant=100)
+        rng = np.random.default_rng(3)
+        syn = rng.integers(0, 4000, (6, 3, 4))
+        biases = [np.full(4, 1000), rng.integers(0, 9000, (3, 4))]
+        with kernels.forced_backend(backend):
+            group = CompartmentGroup(4, proto, replicas=3)
+            u, v, refrac = (np.zeros((3, 4), dtype=np.int64)
+                            for _ in range(3))
+            for k, s in enumerate(syn):
+                if k % 3 == 0:
+                    bias = biases[(k // 3) % 2]
+                    group.set_bias(bias)
+                ref = kernels.cuba_step(u, v, refrac, bias, s, proto.decay_u,
+                                        proto.decay_v, proto.vth)
+                assert np.array_equal(group.step(s), ref)
+                assert np.array_equal(group.v, v)
+            assert group._kernel.bound_to(group.u, group.v, group._refrac,
+                                          group.bias)
+
+    @pytest.mark.parametrize("backend", AVAILABLE)
+    def test_trace_and_if_layer_rebind_on_replaced_state(self, backend):
+        from repro.core.neuron import IFLayer
+        from repro.loihi.traces import counter_trace
+        with kernels.forced_backend(backend):
+            trace = counter_trace(3)
+            trace.update(np.ones(3, dtype=bool))
+            trace.values = np.full(3, 10.0)
+            trace.update(np.ones(3, dtype=bool))
+            assert np.array_equal(trace.values, np.full(3, 11.0))
+            layer = IFLayer(2)
+            layer.step(np.full(2, 0.5))
+            layer.v = np.full(2, 0.75)
+            assert np.array_equal(layer.step(np.full(2, 0.5)), [True, True])
+            assert np.array_equal(layer.v, np.full(2, 0.25))
+
+    @staticmethod
+    def _trainer(seed=1):
+        from repro.core import EMSTDPNetwork, loihi_default_config
+        from repro.onchip import LoihiEMSTDPTrainer, build_emstdp_network
+        dims = (8, 12, 3)
+        cfg = loihi_default_config(seed=seed, phase_length=16,
+                                   feedback="dfa")
+        ref = EMSTDPNetwork(dims, cfg)
+        model = build_emstdp_network(
+            dims, cfg, initial_weights=[w.copy() for w in ref.weights],
+            feedback_weights=[b.copy() for b in ref.feedback_weights])
+        return LoihiEMSTDPTrainer(model)
+
+    @staticmethod
+    def _replay(trainer, xs, ys):
+        out = []
+        for x, y in zip(xs, ys):
+            res = trainer.train_sample(x, int(y))
+            out.append(np.append(res["h_out"], trainer.runtime.stats.spikes))
+        out.extend(c.weight_mant.copy()
+                   for c in trainer.model.plastic_connections)
+        return out
+
+    @pytest.mark.parametrize("backend", AVAILABLE)
+    def test_chip_trainer_replay_matches_numpy(self, backend):
+        from conftest import make_blobs
+        xs, ys = make_blobs(8, 3, 6, seed=0)
+        with kernels.forced_backend(backend):
+            got = self._replay(self._trainer(), xs, ys)
+        with kernels.forced_backend("numpy"):
+            ref = self._replay(self._trainer(), xs, ys)
+        _assert_identical(got, ref)
+
+    @pytest.mark.parametrize("backend", AVAILABLE)
+    def test_load_state_dict_and_replicate_rebind(self, backend):
+        from conftest import make_blobs
+        xs, ys = make_blobs(8, 3, 8, seed=2)
+        with kernels.forced_backend(backend):
+            src = self._trainer(seed=1)
+            self._replay(src, xs[:4], ys[:4])
+            dst = self._trainer(seed=5)
+            self._replay(dst, xs[4:], ys[4:])  # bindings exist, now stale
+            dst.load_state_dict(src.state_dict())
+            for x in xs:  # inference is deterministic given the weights
+                assert np.array_equal(dst.infer(x), src.infer(x))
+            twin = src.model.replicate(3)
+            for mine, theirs in zip(src.model.network.groups,
+                                    twin.network.groups):
+                k = theirs._bound_kernel()
+                assert k.bound_to(theirs.u, theirs.v, theirs._refrac,
+                                  theirs.bias)
+                assert not any(np.shares_memory(a, b) for a in k.state
+                               for b in mine._bound_kernel().state)
+            seq = np.stack([src.infer(x) for x in xs])
+            assert np.array_equal(src.infer_batch(xs), seq)
+
+
+# ----------------------------------------------------------------------
 # Backend selection
 # ----------------------------------------------------------------------
 
@@ -317,6 +596,7 @@ def restore_backend():
     previous_name, previous_impl = kernels._active_name, kernels._active_impl
     yield
     kernels._active_name, kernels._active_impl = previous_name, previous_impl
+    kernels._generation += 1  # what select_backend does for bound kernels
 
 
 class TestBackendSelection:
