@@ -2,7 +2,7 @@
 
 ``repro.core.kernels`` pins three interchangeable backends bit-identical
 to each other; that guarantee holds *only* for the public entry points
-(seven kernels and three ``bind_*`` forms), which normalize
+(eight kernels and four ``bind_*`` forms), which normalize
 dtypes/contiguity before dispatch.  Importing a backend module
 (``_numpy`` / ``_numba`` / ``_cext`` / ``_csrc``) directly skips the
 normalization and the selection logic; redefining a
@@ -22,8 +22,9 @@ from . import dotted
 #: The public kernel signatures (see repro.core.kernels.__all__).
 PUBLIC_KERNELS = {
     "if_step", "cuba_step", "trace_update", "delta_w", "delta_w_batch",
-    "delta_w_loihi", "sum_of_products",
+    "delta_w_loihi", "sum_of_products", "spike_deliver",
     "bind_if_step", "bind_cuba_step", "bind_trace_update",
+    "bind_spike_deliver",
 }
 
 #: Private backend modules of the kernels package.

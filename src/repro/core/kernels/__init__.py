@@ -1,8 +1,9 @@
 """Backend-selected compiled kernels for the per-timestep inner loops.
 
-Every number in ``BENCH_*.json`` bottoms out in the same four hot loops:
+Every number in ``BENCH_*.json`` bottoms out in the same few hot loops:
 the IF membrane update (:mod:`repro.core.neuron` and the chip compartments
-in :mod:`repro.loihi.compartment`), trace decay/accumulation
+in :mod:`repro.loihi.compartment`), synaptic delivery
+(:mod:`repro.loihi.synapse`), trace decay/accumulation
 (:mod:`repro.loihi.traces`), the EMSTDP ``dW`` accumulation (Eq. 7 /
 Eq. 12 in :mod:`repro.core.learning`) and the microcode sum-of-products
 (:mod:`repro.loihi.microcode`).  This package routes them through one of
@@ -24,26 +25,39 @@ above wins, with a single ``RuntimeWarning`` if only NumPy is left.  The
 ``ValueError``, a known-but-unavailable one raises ``ImportError`` — an
 explicit request must never silently degrade.
 
+Synaptic delivery
+-----------------
+:func:`spike_deliver` is event-driven, like the chip it models: each
+presynaptic spike adds its own weight row to the destination currents and
+silent rows are skipped, so a delivery costs presynaptic spikes x fan-out
+rather than S x D.  (The NumPy reference keeps the dense formula.)  The
+runtime owns one int64 current buffer per compartment group, zeroes it
+every step and delivers every inbound connection into it.
+
 Bound kernels
 -------------
 The per-timestep kernels run tens of thousands of times per sample on
 microsecond-sized arrays, so re-validating and re-marshalling every
 argument on every call costs far more than the arithmetic.
-:func:`bind_cuba_step`, :func:`bind_if_step` and :func:`bind_trace_update`
-therefore return a :class:`BoundKernel`: the persistent state arrays
-(membrane, current, refractory counters, bias, trace values) and the
-static parameters are checked once — dtype, shape, C-contiguity — and the
+:func:`bind_cuba_step`, :func:`bind_if_step`, :func:`bind_trace_update`
+and :func:`bind_spike_deliver` therefore return a :class:`BoundKernel`:
+the persistent arrays (membrane, current, refractory counters, bias,
+trace values; a delivery's current buffer and weights) and the static
+parameters are checked once — dtype, shape, C-contiguity — and the
 compiled backend caches their addresses.  Each call then passes only the
 per-step operand (synaptic input, drive or spikes), which is copied into a
 buffer owned by the binding, and returns a fresh spike array (``None`` for
-traces).  Results are bit-identical to the unbound kernels.
+traces, the presynaptic spike count for a delivery).  Results are
+bit-identical to the unbound kernels.
 
 Invariants:
 
 * the bound state arrays must stay alive and in place.  A binding mutates
   the arrays it was given; an owner that *replaces* one (``set_bias``,
   a checkpoint load, a replicated twin) must bind again.  Owners detect
-  this with :meth:`BoundKernel.bound_to`, an identity check.
+  this with :meth:`BoundKernel.bound_to`, an identity check.  Every
+  learning epoch replaces a plastic connection's weights, so its delivery
+  binding is rebuilt after each epoch.
 * a binding re-resolves itself against the active backend whenever
   :func:`select_backend` (and so :func:`forced_backend`) has run since it
   last resolved: ``select_backend`` bumps a generation counter the binding
@@ -72,9 +86,10 @@ import numpy as np
 
 __all__ = [
     "BoundKernel", "available_backends", "backend_name", "bind_cuba_step",
-    "bind_if_step", "bind_trace_update", "cuba_step", "delta_w",
-    "delta_w_batch", "delta_w_loihi", "forced_backend", "if_step",
-    "select_backend", "sum_of_products", "trace_update",
+    "bind_if_step", "bind_spike_deliver", "bind_trace_update", "cuba_step",
+    "delta_w", "delta_w_batch", "delta_w_loihi", "forced_backend",
+    "if_step", "select_backend", "spike_deliver", "sum_of_products",
+    "trace_update",
 ]
 
 #: Autodetection preference order.
@@ -198,6 +213,7 @@ def forced_backend(name: str):
 # ----------------------------------------------------------------------
 
 _FLOAT_DTYPES = (np.dtype(np.float64), np.dtype(np.float32))
+_I64 = (np.dtype(np.int64),)
 
 
 def _state(a: np.ndarray, dtypes) -> tuple:
@@ -236,7 +252,7 @@ def if_step(v: np.ndarray, refrac: np.ndarray, drive, threshold: float,
     returns the boolean spike array with ``v``'s shape.
     """
     vf, v_back = _state(v, _FLOAT_DTYPES)
-    rf, r_back = _state(refrac, (np.dtype(np.int64),))
+    rf, r_back = _state(refrac, _I64)
     if refrac.shape != v.shape:
         raise ValueError(
             f"refrac shape {refrac.shape} != membrane shape {v.shape}")
@@ -260,10 +276,9 @@ def cuba_step(u: np.ndarray, v: np.ndarray, refrac: np.ndarray,
     the boolean fired array.  ``decay_*`` use the 12-bit convention where
     4096 clears the state every step.
     """
-    i64 = (np.dtype(np.int64),)
-    uf, u_back = _state(u, i64)
-    vf, v_back = _state(v, i64)
-    rf, r_back = _state(refrac, i64)
+    uf, u_back = _state(u, _I64)
+    vf, v_back = _state(v, _I64)
+    rf, r_back = _state(refrac, _I64)
     if u.shape != v.shape or refrac.shape != v.shape:
         raise ValueError("u, v and refrac must share one shape")
     bf = _input(bias, np.int64, v.shape)
@@ -291,12 +306,47 @@ def trace_update(values: np.ndarray, spikes, impulse: float, decay: float,
         v_back()
 
 
+def _deliver_layout(out_shape, weight_shape) -> tuple:
+    """Spike shape and flat parameters of one synaptic delivery."""
+    per_replica = len(weight_shape) == 3
+    if len(weight_shape) not in (2, 3) or len(out_shape) not in (1, 2) \
+            or (per_replica and len(out_shape) == 1):
+        raise ValueError(
+            f"cannot deliver through weights {weight_shape} into "
+            f"{out_shape}: expected (S, D) weights into (D,) or (R, D), "
+            f"or (R, S, D) weights into (R, D)")
+    n_src, n_dst = weight_shape[-2:]
+    n_rep = out_shape[0] if len(out_shape) == 2 else 1
+    if out_shape[-1] != n_dst or (per_replica and weight_shape[0] != n_rep):
+        raise ValueError(f"weights {weight_shape} do not fit currents "
+                         f"{out_shape}")
+    spike_shape = out_shape[:-1] + (n_src,)
+    return spike_shape, (n_rep, n_src, n_dst, per_replica)
+
+
+def spike_deliver(out: np.ndarray, weight, spikes, weight_scale: int) -> int:
+    """Event-driven synaptic delivery; returns the presynaptic spike count.
+
+    ``out[r] += weight_scale * sum(W[i] for i where spikes[r, i])`` for
+    ``(S,)`` spikes into ``(D,)`` through shared ``(S, D)`` weights,
+    ``(R, S)`` spikes into ``(R, D)`` through shared ``(S, D)`` or
+    per-replica ``(R, S, D)`` weights.  ``out`` (int64) is updated in
+    place.  The arithmetic is integer and cannot overflow for 8-bit
+    mantissas, so every backend is exact whatever its summation order.
+    """
+    spike_shape, params = _deliver_layout(np.shape(out), np.shape(weight))
+    of, o_back = _state(out, _I64)
+    wf = _input(weight, np.int64, np.shape(weight))
+    sf = _input(spikes, bool, spike_shape)
+    count = _impl().spike_deliver(of, wf, sf, int(weight_scale), *params)
+    if o_back is not None:
+        o_back()
+    return count
+
+
 # ----------------------------------------------------------------------
 # Bound kernels (see "Bound kernels" in the module docstring)
 # ----------------------------------------------------------------------
-
-_I64 = (np.dtype(np.int64),)
-
 
 def _bindable(shape, dtypes, **arrays) -> None:
     """Reject state a binding cannot cache: wrong dtype/shape, views."""
@@ -328,25 +378,28 @@ def _generic_run(fn, args, out, params):
 class BoundKernel:
     """A per-timestep kernel bound to persistent state arrays.
 
-    Built by :func:`bind_cuba_step`, :func:`bind_if_step` and
-    :func:`bind_trace_update`.  Calling it with the per-step operand
-    advances the bound state in place and returns a fresh boolean spike
-    array with the state's shape (``None`` for a trace update).  The
-    operand is broadcast and cast to the bound buffer exactly as the
-    unbound kernel's ``np.asarray(..., dtype)`` would.
+    Built by :func:`bind_cuba_step`, :func:`bind_if_step`,
+    :func:`bind_trace_update` and :func:`bind_spike_deliver`.  Calling it
+    with the per-step operand advances the bound state in place and
+    returns a fresh boolean spike array with the state's shape (``None``
+    for a trace update, the spike count for a delivery).  The operand is
+    broadcast and cast to the bound buffer exactly as the unbound kernel's
+    ``np.asarray(..., dtype)`` would.
     """
 
     __slots__ = ("name", "state", "_params", "_operand", "_out",
                  "_generation", "_step")
 
     def __init__(self, name: str, state, params: tuple, operand_dtype,
-                 spikes: bool):
+                 spikes: bool, operand_shape=None):
         self.name = name
         #: The bound arrays, in the kernel's argument order.
         self.state = tuple(state)
         self._params = params
         shape = self.state[0].shape
-        self._operand = np.zeros(shape, dtype=operand_dtype)
+        self._operand = np.zeros(
+            shape if operand_shape is None else operand_shape,
+            dtype=operand_dtype)
         self._out = np.zeros(shape, dtype=bool) if spikes else None
         self._generation = None
         self._step = None
@@ -377,9 +430,8 @@ class BoundKernel:
 
         def step(x):
             np.copyto(operand, x, casting="unsafe")
-            run()
-            if out is not None:
-                return out.copy()
+            result = run()
+            return result if out is None else out.copy()
 
         self._step = _obs.kernel_profiler.wrap(self.name, step)
         self._generation = _generation
@@ -419,6 +471,18 @@ def bind_trace_update(values: np.ndarray, impulse: float, decay: float,
     return BoundKernel("trace_update", (values,),
                        (float(impulse), float(decay), float(trace_max)),
                        bool, spikes=False)
+
+
+def bind_spike_deliver(out: np.ndarray, weight: np.ndarray,
+                       weight_scale: int) -> BoundKernel:
+    """:func:`spike_deliver` bound to the ``out`` current buffer and the
+    ``weight`` block; call with ``spikes``, returns the spike count."""
+    spike_shape, params = _deliver_layout(np.shape(out), np.shape(weight))
+    _bindable(np.shape(out), _I64, out=out)
+    _bindable(np.shape(weight), _I64, weight=weight)
+    return BoundKernel("spike_deliver", (out, weight),
+                       (int(weight_scale),) + params, bool, spikes=False,
+                       operand_shape=spike_shape)
 
 
 def _dw_operands(*arrays):
@@ -559,6 +623,7 @@ from ... import obs as _obs  # noqa: E402
 if_step = _obs.kernel_profiler.wrap("if_step", if_step)
 cuba_step = _obs.kernel_profiler.wrap("cuba_step", cuba_step)
 trace_update = _obs.kernel_profiler.wrap("trace_update", trace_update)
+spike_deliver = _obs.kernel_profiler.wrap("spike_deliver", spike_deliver)
 delta_w = _obs.kernel_profiler.wrap("delta_w", delta_w)
 delta_w_batch = _obs.kernel_profiler.wrap("delta_w_batch", delta_w_batch)
 delta_w_loihi = _obs.kernel_profiler.wrap("delta_w_loihi", delta_w_loihi)

@@ -144,10 +144,13 @@ for _name, _argtypes in {
                           _c_ssize],
     "sop_eval_f64": [_ptr, _ptr, _ptr, _ptr, _ptr, _c_ssize, _ptr, _ptr,
                      _ptr, _ptr, _c_ssize, _c_ssize, _c_ssize],
+    "spike_deliver_i64": [_ptr, _ptr, _ptr, _c_int64, _c_ssize, _c_ssize,
+                          _c_ssize, _c_int],
 }.items():
     _fn = getattr(_lib, _name)
     _fn.argtypes = _argtypes
     _fn.restype = None
+_lib.spike_deliver_i64.restype = _c_int64  # the presynaptic spike count
 
 
 def _p(a: np.ndarray) -> int:
@@ -209,6 +212,17 @@ def bind_trace_update(values, spikes, impulse, decay, trace_max):
 
 def trace_update(values, spikes, impulse, decay, trace_max):
     bind_trace_update(values, spikes, impulse, decay, trace_max)()
+
+
+def bind_spike_deliver(out, weight, spikes, weight_scale, n_rep, n_src,
+                       n_dst, per_replica):
+    return _bound_call(_lib.spike_deliver_i64, _p(out), _p(weight),
+                       _p(spikes), weight_scale, n_rep, n_src, n_dst,
+                       per_replica)
+
+
+def spike_deliver(out, weight, spikes, *params):
+    return bind_spike_deliver(out, weight, spikes, *params)()
 
 
 def delta_w(h_hat, h, pre, eta):

@@ -14,7 +14,7 @@ suite in ``tests/test_kernels.py``.
 """
 
 #: Bump when the C ABI below changes; part of the compile-cache key.
-SOURCE_VERSION = 2
+SOURCE_VERSION = 3
 
 SOURCE = r"""
 #include <stdint.h>
@@ -166,6 +166,32 @@ void NAME(T *values, const uint8_t *spikes, double impulse, double decay,   \
 }
 DEFINE_TRACE_UPDATE(trace_update_f64, double)
 DEFINE_TRACE_UPDATE(trace_update_f32, float)
+
+/* -- Event-driven synaptic delivery (loihi/synapse.py) ------------------ *
+ * out[r, :] += weight_scale * sum over spiking i of W[i, :] (W per replica
+ * when per_replica), visiting only the rows of neurons that spiked, so
+ * the work is presynaptic spikes x fan-out rather than S x D.  Integer
+ * arithmetic with |W| <= 127 cannot overflow int64 for any chip-sized
+ * block, so the result is exact in any order.  Returns the number of
+ * presynaptic spikes (the synaptic-event count divided by the fan-out). */
+int64_t spike_deliver_i64(int64_t *out, const int64_t *weight,
+                          const uint8_t *spikes, int64_t weight_scale,
+                          ptrdiff_t R, ptrdiff_t S, ptrdiff_t D,
+                          int per_replica) {
+    int64_t count = 0;
+    for (ptrdiff_t r = 0; r < R; r++) {
+        const uint8_t *sp = spikes + r * S;
+        const int64_t *w = per_replica ? weight + r * S * D : weight;
+        int64_t *o = out + r * D;
+        for (ptrdiff_t i = 0; i < S; i++) {
+            if (!sp[i]) continue;
+            const int64_t *row = w + i * D;
+            for (ptrdiff_t j = 0; j < D; j++) o[j] += weight_scale * row[j];
+            count++;
+        }
+    }
+    return count;
+}
 
 /* -- EMSTDP Eq. (7): dW = eta * (h_hat - h) (x) pre --------------------- */
 #define DEFINE_DELTA_W(NAME, T)                                             \

@@ -17,6 +17,10 @@ from __future__ import annotations
 import numpy as np
 from numba import njit
 
+# Synaptic delivery is exact integer arithmetic: the NumPy reference is
+# already bit-identical to any compiled loop, so this backend reuses it.
+from ._numpy import spike_deliver  # noqa: F401
+
 
 @njit(cache=True)
 def _if_step(v, refrac, drive, thr, margin, soft_reset, refractory, spikes):

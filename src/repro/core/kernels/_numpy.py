@@ -69,6 +69,19 @@ def trace_update(values, spikes, impulse, decay, trace_max):
     np.copyto(values, np.minimum(bumped, dt(trace_max)))
 
 
+def spike_deliver(out, weight, spikes, weight_scale, n_rep, n_src, n_dst,
+                  per_replica):
+    # The dense formula: every synapse is visited, spiking or not.
+    pre = spikes.reshape(n_rep, n_src).astype(np.int64)
+    if per_replica:
+        contrib = np.einsum("rs,rsd->rd", pre,
+                            weight.reshape(n_rep, n_src, n_dst))
+    else:
+        contrib = pre @ weight.reshape(n_src, n_dst)
+    out += (contrib * weight_scale).reshape(-1)
+    return int(np.count_nonzero(spikes))
+
+
 def delta_w(h_hat, h, pre, eta):
     dt = h_hat.dtype.type
     diff = h_hat - h

@@ -78,7 +78,10 @@ class Runtime:
         self.rulebook: Dict[str, Dict[str, List[SumOfProducts]]] = {}
         self.stats = RunStats()
         self.stats.plastic_synapses = network.n_plastic_synapses()
-        self._syn_events_seen = 0
+        #: A plain runtime steps the whole network as one shard.
+        self.shards: List[_Shard] = [
+            _Shard(network.groups, network.connections)]
+        self._pool: Optional[ThreadPoolExecutor] = None
 
     # -- learning-rule registry ---------------------------------------------
 
@@ -105,21 +108,24 @@ class Runtime:
 
     def step(self) -> None:
         """One barrier-synchronized timestep."""
-        currents: Dict[str, np.ndarray] = {
-            g.name: np.zeros(g.state_shape, dtype=np.int64)
-            for g in self.network.groups}
-        for conn in self.network.connections:
-            if conn.src.spikes.any():
-                currents[conn.dst.name] += conn.propagate(conn.src.spikes)
-        n_spikes = 0
-        for group in self.network.groups:
-            fired = group.step(currents[group.name])
-            n_spikes += int(fired.sum())
-        for conn in self.network.connections:
-            if conn.plastic:
-                conn.update_traces(conn.src.spikes, conn.dst.spikes)
+        self._step_shards()
+
+    def _step_shards(self) -> None:
+        """Deliver, integrate and trace every shard, barrier between."""
+        self._each_shard(_Shard.deliver)
+        n_spikes = sum(self._each_shard(_Shard.step_groups))
+        self._each_shard(_Shard.update_traces)
+        for shard in self.shards:
+            shard.stats.steps += 1
         self.stats.steps += 1
         self.stats.spikes += n_spikes
+
+    def _each_shard(self, fn):
+        """Run ``fn(shard)`` for every shard; barrier on completion."""
+        if self._pool is None:
+            return [fn(shard) for shard in self.shards]
+        futures = [self._pool.submit(fn, shard) for shard in self.shards]
+        return [f.result() for f in futures]
 
     def run(self, steps: int) -> None:
         for _ in range(steps):
@@ -127,9 +133,8 @@ class Runtime:
         self._collect_syn_events()
 
     def _collect_syn_events(self) -> None:
-        total = sum(c.syn_events for c in self.network.connections)
-        self.stats.syn_events += total - self._syn_events_seen
-        self._syn_events_seen = total
+        self.stats.syn_events += sum(
+            self._each_shard(_Shard.collect_syn_events))
 
     def learning_epoch(self, epoch: str) -> None:
         """Run the learning engine for one named epoch on all plastic
@@ -177,29 +182,37 @@ class _Shard:
     ``groups`` preserve network declaration order (gate/merge reads between
     groups of one shard rely on it); ``conns_in`` are the connections whose
     destination lives in this shard — current delivery and trace updates
-    happen where the synapses physically are.
+    happen where the synapses physically are.  The shard owns one int64
+    current buffer per group, zeroed and refilled every step.
     """
 
-    def __init__(self, groups: List[CompartmentGroup],
-                 conns_in: List) -> None:
-        self.groups = groups
-        self.conns_in = conns_in
+    def __init__(self, groups: Iterable[CompartmentGroup],
+                 conns_in: Iterable) -> None:
+        self.groups = list(groups)
+        self.conns_in = list(conns_in)
+        currents = {g.name: np.zeros(g.state_shape, dtype=np.int64)
+                    for g in self.groups}
+        self._inputs = [(g, currents[g.name]) for g in self.groups]
+        self._deliveries = [(c, currents[c.dst.name]) for c in self.conns_in]
+        #: The buffers deliveries write, so the only ones to zero.
+        self._fed = [currents[n]
+                     for n in {c.dst.name for c in self.conns_in}]
         self.stats = RunStats()
         self._syn_events_seen = 0
 
-    def gather_currents(self) -> Dict[str, np.ndarray]:
-        currents = {g.name: np.zeros(g.state_shape, dtype=np.int64)
-                    for g in self.groups}
-        for conn in self.conns_in:
-            if conn.src.spikes.any():
-                currents[conn.dst.name] += conn.propagate(conn.src.spikes)
-        return currents
+    def deliver(self) -> None:
+        """Currents from the spikes each source emitted on the last step."""
+        for buf in self._fed:
+            buf.fill(0)
+        for conn, buf in self._deliveries:
+            spikes = conn.src.spikes
+            if spikes.any():
+                conn.propagate(spikes, out=buf)
 
-    def step_groups(self, currents: Dict[str, np.ndarray]) -> int:
+    def step_groups(self) -> int:
         n_spikes = 0
-        for group in self.groups:
-            fired = group.step(currents[group.name])
-            n_spikes += int(fired.sum())
+        for group, current in self._inputs:
+            n_spikes += int(group.step(current).sum())
         self.stats.spikes += n_spikes
         return n_spikes
 
@@ -208,10 +221,13 @@ class _Shard:
             if conn.plastic:
                 conn.update_traces(conn.src.spikes, conn.dst.spikes)
 
-    def collect_syn_events(self) -> None:
+    def collect_syn_events(self) -> int:
+        """Fold new synaptic events into the shard stats; return them."""
         total = sum(c.syn_events for c in self.conns_in)
-        self.stats.syn_events += total - self._syn_events_seen
+        new = total - self._syn_events_seen
+        self.stats.syn_events += new
         self._syn_events_seen = total
+        return new
 
 
 class ShardedRuntime(Runtime):
@@ -258,16 +274,14 @@ class ShardedRuntime(Runtime):
         unmapped = [g.name for g in network.groups if g.name not in mapped]
         if unmapped:  # defensive: groups added after compile get own shard
             name_shards.append(unmapped)
-        self.shards: List[_Shard] = []
-        shard_of: Dict[str, int] = {}
-        for names in name_shards:
-            groups = sorted((network.group(n) for n in names),
-                            key=lambda g: order[g.name])
-            for g in groups:
-                shard_of[g.name] = len(self.shards)
-            self.shards.append(_Shard(groups, []))
-        for conn in network.connections:
-            self.shards[shard_of[conn.dst.name]].conns_in.append(conn)
+        shard_of = {n: i for i, names in enumerate(name_shards)
+                    for n in names}
+        self.shards = [
+            _Shard(sorted((network.group(n) for n in names),
+                          key=lambda g: order[g.name]),
+                   [c for c in network.connections
+                    if shard_of[c.dst.name] == i])
+            for i, names in enumerate(name_shards)]
         if max_workers is None:
             from ..exec import default_workers
 
@@ -277,15 +291,6 @@ class ShardedRuntime(Runtime):
             if self.max_workers > 1 and len(self.shards) > 1 else None
 
     # -- worker pool -------------------------------------------------------
-
-    def _each_shard(self, fn, *arglists):
-        """Run ``fn(shard, ...)`` for every shard; barrier on completion."""
-        if self._pool is None:
-            return [fn(shard, *(a[i] for a in arglists))
-                    for i, shard in enumerate(self.shards)]
-        futures = [self._pool.submit(fn, shard, *(a[i] for a in arglists))
-                   for i, shard in enumerate(self.shards)]
-        return [f.result() for f in futures]
 
     def close(self) -> None:
         if self._pool is not None:
@@ -302,17 +307,12 @@ class ShardedRuntime(Runtime):
     # -- execution ---------------------------------------------------------
 
     def step(self) -> None:
-        currents = self._each_shard(_Shard.gather_currents)
-        spike_counts = self._each_shard(_Shard.step_groups, currents)
-        self._each_shard(_Shard.update_traces)
-        for shard in self.shards:
-            shard.stats.steps += 1
-        self.stats.steps += 1
-        self.stats.spikes += sum(spike_counts)
+        """One barrier-synchronized timestep, shards stepped in parallel.
 
-    def _collect_syn_events(self) -> None:
-        self._each_shard(_Shard.collect_syn_events)
-        super()._collect_syn_events()
+        The same stepping as :meth:`Runtime.step`, defined here so traces
+        and profilers attribute sharded steps apart from plain ones.
+        """
+        self._step_shards()
 
     def merged_shard_stats(self) -> RunStats:
         """Per-shard counters folded into one :class:`RunStats`.

@@ -12,9 +12,11 @@ counters.
 
 from __future__ import annotations
 
+from typing import Optional
 
 import numpy as np
 
+from ..core import kernels
 from .compartment import CompartmentGroup
 from .traces import counter_trace
 
@@ -70,7 +72,7 @@ class ConnectionGroup:
         #: weight/tag copy per replica so batched learning matches
         #: sequential per-replica execution bit for bit.
         self.replicas = src.replicas
-        weight_mant = weight_mant.astype(np.int64)
+        weight_mant = np.array(weight_mant, dtype=np.int64, order="C")
         if plastic and self.replicas > 1:
             weight_mant = np.broadcast_to(
                 weight_mant, (self.replicas,) + weight_mant.shape).copy()
@@ -88,29 +90,40 @@ class ConnectionGroup:
         #: Cumulative number of synaptic events (spike x fan-out), for the
         #: energy model; batched replicas accumulate into the same counter.
         self.syn_events = 0
+        self._kernel: Optional[kernels.BoundKernel] = None
 
     @property
     def n_synapses(self) -> int:
         """Logical synapse count (replica copies are the same synapses)."""
         return self.src.n * self.dst.n
 
-    def propagate(self, spikes: np.ndarray) -> np.ndarray:
+    def propagate(self, spikes: np.ndarray,
+                  out: Optional[np.ndarray] = None) -> np.ndarray:
         """Integer current delivered to ``dst`` for presynaptic ``spikes``.
 
         ``spikes`` has the source group's state shape: ``(src.n,)`` single
         replica, ``(replicas, src.n)`` batched; the returned current matches
-        the destination's state shape.
+        the destination's state shape.  With ``out`` — a persistent int64
+        buffer of that shape, as the runtime keeps per group — the current
+        is added into ``out`` through a bound kernel and ``out`` returned.
         """
-        spikes = np.asarray(spikes, dtype=bool)
-        if not spikes.any():
-            return np.zeros(self.dst.state_shape, dtype=np.int64)
-        self.syn_events += int(spikes.sum()) * self.dst.n
-        pre = spikes.astype(np.int64)
-        if self.weight_mant.ndim == 3:  # per-replica plastic weights
-            contrib = np.einsum("rs,rsd->rd", pre, self.weight_mant)
+        if out is None:
+            out = np.zeros(self.dst.state_shape, dtype=np.int64)
+            count = kernels.spike_deliver(out, self.weight_mant, spikes,
+                                          self.weight_scale)
         else:
-            contrib = pre @ self.weight_mant
-        return contrib * self.weight_scale
+            count = self._bound_kernel(out)(spikes)
+        self.syn_events += count * self.dst.n
+        return out
+
+    def _bound_kernel(self, out: np.ndarray) -> kernels.BoundKernel:
+        """The delivery kernel bound to ``out`` and the current weights
+        (bound again after a learning epoch or ``set_weights``)."""
+        k = self._kernel
+        if k is None or not k.bound_to(out, self.weight_mant):
+            k = self._kernel = kernels.bind_spike_deliver(
+                out, self.weight_mant, self.weight_scale)
+        return k
 
     def update_traces(self, pre_spikes: np.ndarray,
                       post_spikes: np.ndarray) -> None:
@@ -143,7 +156,8 @@ class ConnectionGroup:
         if weight_mant.shape != self.weight_mant.shape:
             raise ValueError("shape mismatch")
         self.weight_mant = np.clip(weight_mant, -WEIGHT_MANT_MAX,
-                                   WEIGHT_MANT_MAX).astype(np.int64)
+                                   WEIGHT_MANT_MAX).astype(np.int64,
+                                                           order="C")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = "plastic" if self.plastic else "static"

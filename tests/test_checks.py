@@ -164,6 +164,17 @@ def test_rep002_flags_redefined_bound_kernels():
                         rules=get_rules(["REP002"])) == []
 
 
+def test_rep002_flags_redefined_spike_deliver():
+    src = _fixture("rep002_deliver_bad")
+    findings = check_source(src, "src/repro/loihi/example.py",
+                            rules=get_rules(["REP002"]))
+    # ConnectionGroup.propagate-style callers of the kernel stay allowed.
+    assert sorted(f.message.split("(")[0] for f in findings) == [
+        "def bind_spike_deliver", "def spike_deliver"]
+    assert check_source(src, "src/repro/core/kernels/__init__.py",
+                        rules=get_rules(["REP002"])) == []
+
+
 def test_hidden_rule_not_in_default_set():
     default_ids = {r.id for r in checks.default_rules()}
     all_ids = {r.id for r in checks.all_rules()}

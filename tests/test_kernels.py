@@ -458,6 +458,141 @@ class TestBindValidation:
         assert after - before == 3
 
 
+# ----------------------------------------------------------------------
+# Event-driven synaptic delivery
+# ----------------------------------------------------------------------
+
+#: The largest ``weight_scale`` the on-chip builder can produce
+#: (``ScaleScheme`` at the top of the threshold range).
+MAX_WEIGHT_SCALE = 132104
+
+#: (spike shape, weight shape) of the three delivery layouts.
+DELIVERY_LAYOUTS = {
+    "single": ((9,), (9, 5)),
+    "shared": ((3, 9), (9, 5)),
+    "per_replica": ((3, 9), (3, 9, 5)),
+}
+
+
+def _dense_delivery(out, weight, spikes, weight_scale):
+    """The dense formula ``ConnectionGroup.propagate`` used to run, and the
+    old ``syn_events`` rule's spike count."""
+    pre = spikes.astype(np.int64)
+    if weight.ndim == 3:
+        contrib = np.einsum("rs,rsd->rd", pre, weight)
+    else:
+        contrib = pre @ weight
+    return out + contrib * weight_scale, int(spikes.sum())
+
+
+def _delivery_case(layout, pattern, steps=3, seed=23):
+    spike_shape, weight_shape = DELIVERY_LAYOUTS[layout]
+    rng = np.random.default_rng(seed)
+    weight = rng.integers(-127, 128, weight_shape)
+    weight[..., 0] = 127
+    weight[..., 1] = -127
+    if pattern == "none":
+        spikes = np.zeros((steps,) + spike_shape, dtype=bool)
+    elif pattern == "all":
+        spikes = np.ones((steps,) + spike_shape, dtype=bool)
+    else:
+        spikes = rng.random((steps,) + spike_shape) < 0.4
+    out_shape = spike_shape[:-1] + weight_shape[-1:]
+    out0 = rng.integers(-5000, 5000, out_shape)
+    return weight, spikes, out0
+
+
+def test_max_weight_scale_is_the_builders():
+    from repro.onchip.builder import ScaleScheme
+    assert ScaleScheme(vth_mant=1 << 17).weight_scale == MAX_WEIGHT_SCALE
+
+
+@pytest.mark.parametrize("backend", AVAILABLE)
+class TestSpikeDeliver:
+    @pytest.mark.parametrize("layout", sorted(DELIVERY_LAYOUTS))
+    @pytest.mark.parametrize("pattern", ["none", "all", "random"])
+    @pytest.mark.parametrize("bound", [False, True])
+    def test_matches_dense_reference(self, backend, layout, pattern, bound):
+        weight, spikes, out0 = _delivery_case(layout, pattern)
+        out, expected = out0.copy(), out0.copy()
+        with kernels.forced_backend(backend):
+            step = kernels.bind_spike_deliver(out, weight, MAX_WEIGHT_SCALE)
+            for s in spikes:
+                if bound:
+                    count = step(s)
+                else:
+                    count = kernels.spike_deliver(out, weight, s,
+                                                  MAX_WEIGHT_SCALE)
+                expected, ref_count = _dense_delivery(
+                    expected, weight, s, MAX_WEIGHT_SCALE)
+                assert count == ref_count
+                assert np.array_equal(out, expected)
+
+    def test_worst_case_is_exact(self, backend):
+        """127 x the largest scale x every source neuron fits int64."""
+        n_src = 256
+        weight = np.full((n_src, 4), 127)
+        weight[:, 1] = -127
+        out = np.zeros((2, 4), dtype=np.int64)
+        with kernels.forced_backend(backend):
+            step = kernels.bind_spike_deliver(out, weight, MAX_WEIGHT_SCALE)
+            assert step(np.ones((2, n_src), dtype=bool)) == 2 * n_src
+        peak = 127 * MAX_WEIGHT_SCALE * n_src
+        assert out.tolist() == [[peak, -peak, peak, peak]] * 2
+
+    def test_unbound_accepts_views_and_casts(self, backend):
+        weight, spikes, out0 = _delivery_case("shared", "random")
+        expected, _ = _dense_delivery(out0, weight, spikes[0], 64)
+        out = _noncontig(out0)
+        with kernels.forced_backend(backend):
+            kernels.spike_deliver(out, weight.astype(np.int8),
+                                  spikes[0].astype(np.int64), 64)
+        assert np.array_equal(out, expected)
+
+
+class TestSpikeDeliverValidation:
+    def test_rejects_layouts_that_do_not_fit(self):
+        out = np.zeros((3, 5), dtype=np.int64)
+        with pytest.raises(ValueError, match="fit"):
+            kernels.bind_spike_deliver(out, np.zeros((9, 4), np.int64), 1)
+        with pytest.raises(ValueError, match="fit"):
+            kernels.bind_spike_deliver(out, np.zeros((2, 9, 5), np.int64), 1)
+        with pytest.raises(ValueError, match="expected"):
+            kernels.bind_spike_deliver(np.zeros(5, np.int64),
+                                       np.zeros((3, 9, 5), np.int64), 1)
+        with pytest.raises(ValueError, match="expected"):
+            kernels.spike_deliver(out, np.zeros(5, np.int64),
+                                  np.zeros(9, bool), 1)
+
+    def test_bound_arrays_must_be_contiguous_int64(self):
+        weight = np.zeros((9, 5), dtype=np.int64)
+        out = np.zeros((3, 10), dtype=np.int64)
+        with pytest.raises(ValueError, match="C-contiguous"):
+            kernels.bind_spike_deliver(out[:, ::2], weight, 1)
+        with pytest.raises(ValueError, match="C-contiguous"):
+            kernels.bind_spike_deliver(out[:, :5].copy(),
+                                       np.asfortranarray(weight), 1)
+        with pytest.raises(TypeError, match="dtype"):
+            kernels.bind_spike_deliver(out[:, :5].copy(),
+                                       weight.astype(np.int32), 1)
+
+    def test_bound_calls_are_profiled_as_spike_deliver(self):
+        from repro import obs
+        out = np.zeros(5, dtype=np.int64)
+        step = kernels.bind_spike_deliver(out, np.ones((9, 5), np.int64), 1)
+        before = obs.kernel_profiler.snapshot().get(
+            "spike_deliver", {"calls": 0})["calls"]
+        sample = obs.kernel_profiler.sample
+        obs.kernel_profiler.sample = 1
+        try:
+            for _ in range(3):
+                step(np.ones(9, dtype=bool))
+        finally:
+            obs.kernel_profiler.sample = sample
+        after = obs.kernel_profiler.snapshot()["spike_deliver"]["calls"]
+        assert after - before == 3
+
+
 def _spy_numpy(monkeypatch, name):
     """Count calls to the NumPy backend's ``name`` kernel."""
     from repro.core.kernels import _numpy
@@ -526,6 +661,79 @@ class TestBoundOwners:
             layer.v = np.full(2, 0.75)
             assert np.array_equal(layer.step(np.full(2, 0.5)), [True, True])
             assert np.array_equal(layer.v, np.full(2, 0.25))
+
+    @pytest.mark.parametrize("backend", AVAILABLE)
+    def test_delivery_rebinds_after_set_weights_and_learning(self, backend):
+        from repro.loihi import Network, Runtime, if_prototype, parse_rule
+        proto = if_prototype()
+        net = Network()
+        a = net.create_group(4, proto, "a")
+        b = net.create_group(3, proto, "b")
+        w0 = np.array([[90, 10, 0], [80, 20, -5], [70, 30, 5], [60, 40, 1]])
+        conn = net.connect(a, b, w0, 64, plastic=True, learning_rule="r")
+        rt = Runtime(net, stochastic_rounding=False)
+        rt.register_rule("r", {"end": [parse_rule("dw = 2^0 * y1 * x1")]})
+        rt.set_bias("a", np.full(4, proto.vth))  # a fires every step
+
+        def delivered():
+            rt.run(1)  # b.u is the current delivered this step (decay 4096)
+            return b.u.tolist()
+
+        with kernels.forced_backend(backend):
+            rt.run(1)
+            assert delivered() == (w0.sum(axis=0) * 64).tolist()
+            conn.set_weights(w0[::-1] // 2)
+            assert delivered() == ((w0 // 2).sum(axis=0) * 64).tolist()
+            before = conn.weight_mant
+            rt.learning_epoch("end")
+            assert conn.weight_mant is not before
+            assert not np.array_equal(conn.weight_mant, before)
+            assert delivered() == (conn.weight_mant.sum(axis=0)
+                                   * 64).tolist()
+            assert conn._kernel.bound_to(conn._kernel.state[0],
+                                         conn.weight_mant)
+
+    @pytest.mark.skipif(not COMPILED, reason="no compiled backend")
+    def test_runtime_under_forced_numpy_runs_dense_delivery(self,
+                                                            monkeypatch):
+        calls = _spy_numpy(monkeypatch, "spike_deliver")
+        trainer = self._trainer()
+        x = np.linspace(0.2, 0.9, 8)
+        with kernels.forced_backend(COMPILED[0]):
+            ref = trainer.infer(x)
+            assert calls == []
+            with kernels.forced_backend("numpy"):
+                assert np.array_equal(trainer.infer(x), ref)
+                assert calls
+            n = len(calls)
+            trainer.infer(x)
+            assert len(calls) == n
+
+    @pytest.mark.parametrize("backend", AVAILABLE)
+    def test_replicated_twin_delivers_through_its_own_bindings(self,
+                                                               backend):
+        from conftest import make_blobs
+        xs, _ = make_blobs(8, 3, 6, seed=4)
+        with kernels.forced_backend(backend):
+            trainer = self._trainer()
+            seq = np.stack([trainer.infer(x) for x in xs])
+            assert np.array_equal(trainer.infer_batch(xs), seq)
+            twin, _ = trainer._twins[len(xs)]
+            mine = {c.name: c for c in trainer.model.network.connections}
+            bound = 0
+            for theirs in twin.network.connections:
+                k = theirs._kernel
+                if k is None:  # never saw a spike
+                    continue
+                bound += 1
+                out, weight = k.state
+                assert weight is theirs.weight_mant
+                assert out.shape == theirs.dst.state_shape
+                ours = mine[theirs.name]._kernel
+                if ours is not None:
+                    assert not any(np.shares_memory(p, q)
+                                   for p in k.state for q in ours.state)
+            assert bound
 
     @staticmethod
     def _trainer(seed=1):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core import kernels
 from repro.loihi import (ConnectionGroup, TraceConfig, TraceState,
                          counter_trace, if_prototype)
 from repro.loihi.compartment import CompartmentGroup
@@ -62,6 +63,55 @@ class TestConnectionGroup:
         conn = ConnectionGroup(src, dst, np.zeros((3, 2)), 64)
         conn.set_weights(np.full((3, 2), 300))
         assert (conn.weight_mant == 127).all()
+
+
+def replicated(plastic, replicas=3, n_src=5, n_dst=4, seed=8):
+    rng = np.random.default_rng(seed)
+    src = CompartmentGroup(n_src, if_prototype(), name="a",
+                           replicas=replicas)
+    dst = CompartmentGroup(n_dst, if_prototype(), name="b",
+                           replicas=replicas)
+    conn = ConnectionGroup(src, dst, rng.integers(-127, 128, (n_src, n_dst)),
+                           64, plastic=plastic)
+    if plastic:  # let the replicas' weights diverge, as learning does
+        conn.set_weights(rng.integers(-127, 128, (replicas, n_src, n_dst)))
+    return conn, rng.random((replicas, n_src)) < 0.5
+
+
+@pytest.mark.parametrize("backend", kernels.available_backends())
+class TestDeliveryIntoBuffers:
+    """``propagate(spikes, out=...)``: the runtime's accumulate form."""
+
+    @pytest.mark.parametrize("plastic", [False, True])
+    def test_replicated_matches_dense_formula(self, backend, plastic):
+        conn, spikes = replicated(plastic)
+        pre = spikes.astype(np.int64)
+        if plastic:
+            dense = np.einsum("rs,rsd->rd", pre, conn.weight_mant) * 64
+        else:
+            dense = pre @ conn.weight_mant * 64
+        out = np.full((3, 4), 7, dtype=np.int64)
+        with kernels.forced_backend(backend):
+            assert np.array_equal(conn.propagate(spikes), dense)
+            assert conn.propagate(spikes, out=out) is out
+        assert np.array_equal(out, dense + 7)
+        # The old rule: presynaptic spikes x fan-out, per call.
+        assert conn.syn_events == 2 * int(spikes.sum()) * 4
+
+    def test_connections_accumulate_into_one_buffer(self, backend):
+        src, dst = groups()
+        first = ConnectionGroup(src, dst, np.array([[10, 0], [0, 20],
+                                                    [5, 5]]), 64)
+        second = ConnectionGroup(src, dst, np.full((3, 2), -3), 2)
+        spikes = np.array([True, False, True])
+        out = np.zeros(2, dtype=np.int64)
+        with kernels.forced_backend(backend):
+            for _ in range(2):
+                out.fill(0)
+                first.propagate(spikes, out=out)
+                second.propagate(spikes, out=out)
+                assert out.tolist() == [15 * 64 - 12, 5 * 64 - 12]
+        assert first.syn_events == second.syn_events == 2 * 2 * 2
 
 
 class TestTraces:
