@@ -2,8 +2,8 @@
 
 ``repro.core.kernels`` pins three interchangeable backends bit-identical
 to each other; that guarantee holds *only* for the public entry points
-(eight kernels and four ``bind_*`` forms), which normalize
-dtypes/contiguity before dispatch.  Importing a backend module
+(the kernels and ``bind_*`` forms in :data:`PUBLIC_KERNELS`), which
+normalize dtypes/contiguity before dispatch.  Importing a backend module
 (``_numpy`` / ``_numba`` / ``_cext`` / ``_csrc``) directly skips the
 normalization and the selection logic; redefining a
 function with a public kernel's name outside the package reintroduces
@@ -22,7 +22,7 @@ from . import dotted
 #: The public kernel signatures (see repro.core.kernels.__all__).
 PUBLIC_KERNELS = {
     "if_step", "cuba_step", "trace_update", "delta_w", "delta_w_batch",
-    "delta_w_loihi", "sum_of_products", "spike_deliver",
+    "delta_w_loihi", "sum_of_products", "spike_deliver", "if_phase",
     "bind_if_step", "bind_cuba_step", "bind_trace_update",
     "bind_spike_deliver",
 }

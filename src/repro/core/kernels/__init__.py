@@ -5,9 +5,10 @@ the IF membrane update (:mod:`repro.core.neuron` and the chip compartments
 in :mod:`repro.loihi.compartment`), synaptic delivery
 (:mod:`repro.loihi.synapse`), trace decay/accumulation
 (:mod:`repro.loihi.traces`), the EMSTDP ``dW`` accumulation (Eq. 7 /
-Eq. 12 in :mod:`repro.core.learning`) and the microcode sum-of-products
-(:mod:`repro.loihi.microcode`).  This package routes them through one of
-three interchangeable backends:
+Eq. 12 in :mod:`repro.core.learning`), the microcode sum-of-products
+(:mod:`repro.loihi.microcode`) and the online FP spike presentation
+(:func:`if_phase`, :mod:`repro.core.network`).  This package routes them
+through one of three interchangeable backends:
 
 ``numba``
     The reference loops under ``@njit(cache=True)``.  Preferred when numba
@@ -33,6 +34,19 @@ silent rows are skipped, so a delivery costs presynaptic spikes x fan-out
 rather than S x D.  (The NumPy reference keeps the dense formula.)  The
 runtime owns one int64 current buffer per compartment group, zeroes it
 every step and delivers every inbound connection into it.
+
+One phase per call
+------------------
+:func:`if_phase` runs all ``T`` steps of one phase of an online EMSTDP
+presentation — the forward IF stack, and in phase 2 the label layer and
+the error pairs — so a training sample costs two calls instead of
+hundreds of per-step ones.  It fixes the order of the drive sums
+(``0.0``, the spiking rows in ascending index, the bias row last) instead
+of calling ``spikes @ W``, whose BLAS summation order is unspecified.  The
+``cext`` loop skips silent rows; ``numba`` reuses the NumPy reference.
+The entry point checks every shape, dtype and contiguity before a pointer
+reaches C.  There is no batch axis and no bound form: the online update
+replaces the weights after every sample.
 
 Bound kernels
 -------------
@@ -88,8 +102,8 @@ __all__ = [
     "BoundKernel", "available_backends", "backend_name", "bind_cuba_step",
     "bind_if_step", "bind_spike_deliver", "bind_trace_update", "cuba_step",
     "delta_w", "delta_w_batch", "delta_w_loihi", "forced_backend",
-    "if_step", "select_backend", "spike_deliver", "sum_of_products",
-    "trace_update",
+    "if_phase", "if_step", "select_backend", "spike_deliver",
+    "sum_of_products", "trace_update",
 ]
 
 #: Autodetection preference order.
@@ -342,6 +356,93 @@ def spike_deliver(out: np.ndarray, weight, spikes, weight_scale: int) -> int:
     if o_back is not None:
         o_back()
     return count
+
+
+def _exact(a, dtype, shape, what: str) -> np.ndarray:
+    """``a`` as a C-contiguous ``dtype`` array of exactly ``shape``."""
+    a = np.ascontiguousarray(a, dtype=dtype)
+    if a.shape != shape:
+        raise ValueError(f"{what} has shape {a.shape}, expected {shape}")
+    return a
+
+
+def if_phase(v, in_drive, weights, T: int, *, bias: bool = True,
+             target=None, class_mask=None, feedback=(), dfa: bool = False,
+             error_gain: float = 1.0, hidden_error_gain: float = 1.0,
+             out_gate=None, hidden_gates=None) -> list:
+    """All ``T`` steps of one phase of an online EMSTDP presentation.
+
+    ``v`` holds one float64 membrane array per layer, ``(dims[k],)``,
+    updated in place so phase 2 continues from phase 1's potentials.
+    Every step the input layer integrates ``in_drive`` and layer ``k+1``
+    integrates the spikes of layer ``k`` through ``weights[k]``, shaped
+    ``(dims[k] + bias, dims[k+1])`` with the bias row last.  Neurons are
+    :class:`~repro.core.neuron.IFLayer`'s defaults.  Drive is summed in a
+    fixed order: ``0.0``, then the rows of the neurons that spiked in
+    ascending index, then the bias row.
+
+    With ``target`` (the label layer's drive) the call is phase 2.  The
+    output error pair integrates ``error_gain * (label spikes - output
+    spikes)``, both masked by ``class_mask``; the hidden error pairs
+    integrate ``hidden_error_gain * sum(e[j] * feedback[k][j])`` over the
+    signed error spikes ``e`` of the layer above (FA, ``feedback[k]`` is
+    ``(dims[k+2], dims[k+1])``) or of the output (``dfa``, ``(dims[-1],
+    dims[k+1])``).  ``out_gate`` and ``hidden_gates[k]`` (phase-1 activity)
+    gate the pairs' spikes; each pair's signed spikes are added to its
+    layer's drive on the next step.
+
+    Returns the per-layer int64 spike counts of this phase.
+    """
+    v = list(v)
+    backs = []
+    for k, a in enumerate(v):
+        if not isinstance(a, np.ndarray) or a.ndim != 1:
+            raise ValueError(f"membrane {k} must be a 1-D numpy array")
+        v[k], back = _state(a, _FLOAT_DTYPES[:1])
+        backs.append(back)
+    dims = [a.size for a in v]
+    n_layers, n_out = len(dims) - 1, dims[-1]
+    if n_layers < 1 or len(weights) != n_layers:
+        raise ValueError(f"{len(v)} membranes need {len(v) - 1} weight "
+                         f"blocks, got {len(weights)}")
+    in_drive = _exact(in_drive, np.float64, (dims[0],), "input drive")
+    weights = [_exact(w, np.float64, (dims[k] + bool(bias), dims[k + 1]),
+                      f"weights[{k}]") for k, w in enumerate(weights)]
+    if T < 0:
+        raise ValueError(f"T must be >= 0, got {T}")
+    if target is None:
+        if class_mask is not None or len(feedback) or out_gate is not None \
+                or hidden_gates is not None:
+            raise ValueError("error-path arguments need a phase-2 target")
+    else:
+        target = _exact(target, np.float64, (n_out,), "target")
+        class_mask = _exact(np.ones(n_out) if class_mask is None
+                            else class_mask, bool, (n_out,), "class_mask")
+        if len(feedback) != n_layers - 1:
+            raise ValueError(f"{n_layers - 1} hidden layers need as many "
+                             f"feedback blocks, got {len(feedback)}")
+        feedback = [_exact(b, np.float64, (n_out if dfa else dims[k + 2],
+                                           dims[k + 1]), f"feedback[{k}]")
+                    for k, b in enumerate(feedback)]
+        if out_gate is not None:
+            out_gate = _exact(out_gate, bool, (n_out,), "out_gate")
+        if hidden_gates is not None:
+            if len(hidden_gates) != n_layers - 1:
+                raise ValueError(f"{n_layers - 1} hidden layers need as "
+                                 f"many gates, got {len(hidden_gates)}")
+            hidden_gates = [_exact(g, bool, (dims[k + 1],),
+                                   f"hidden_gates[{k}]")
+                            for k, g in enumerate(hidden_gates)]
+    counts = np.zeros(sum(dims), dtype=np.int64)
+    counts = np.split(counts, np.cumsum(dims)[:-1])
+    _impl().if_phase(v, in_drive, weights, bool(bias), int(T), counts,
+                     target, class_mask, list(feedback), bool(dfa),
+                     float(error_gain), float(hidden_error_gain), out_gate,
+                     hidden_gates)
+    for back in backs:
+        if back is not None:
+            back()
+    return counts
 
 
 # ----------------------------------------------------------------------
@@ -624,6 +725,7 @@ if_step = _obs.kernel_profiler.wrap("if_step", if_step)
 cuba_step = _obs.kernel_profiler.wrap("cuba_step", cuba_step)
 trace_update = _obs.kernel_profiler.wrap("trace_update", trace_update)
 spike_deliver = _obs.kernel_profiler.wrap("spike_deliver", spike_deliver)
+if_phase = _obs.kernel_profiler.wrap("if_phase", if_phase)
 delta_w = _obs.kernel_profiler.wrap("delta_w", delta_w)
 delta_w_batch = _obs.kernel_profiler.wrap("delta_w_batch", delta_w_batch)
 delta_w_loihi = _obs.kernel_profiler.wrap("delta_w_loihi", delta_w_loihi)

@@ -146,6 +146,9 @@ for _name, _argtypes in {
                      _ptr, _ptr, _c_ssize, _c_ssize, _c_ssize],
     "spike_deliver_i64": [_ptr, _ptr, _ptr, _c_int64, _c_ssize, _c_ssize,
                           _c_ssize, _c_int],
+    "if_phase_f64": [_c_ssize, _ptr, _c_int, _c_int64, _ptr, _ptr, _ptr,
+                     _ptr, _ptr, _ptr, _ptr, _c_int, _c_double, _c_double,
+                     _ptr, _ptr],
 }.items():
     _fn = getattr(_lib, _name)
     _fn.argtypes = _argtypes
@@ -223,6 +226,28 @@ def bind_spike_deliver(out, weight, spikes, weight_scale, n_rep, n_src,
 
 def spike_deliver(out, weight, spikes, *params):
     return bind_spike_deliver(out, weight, spikes, *params)()
+
+
+def _addresses(arrays):
+    """A C array of the arrays' data pointers; keep it alive over the call."""
+    return (ctypes.c_void_p * max(len(arrays), 1))(*map(_p, arrays))
+
+
+def if_phase(v, in_drive, weights, bias, T, counts, target, class_mask,
+             feedback, dfa, error_gain, hidden_error_gain, out_gate,
+             hidden_gates):
+    dims = np.array([a.size for a in v], dtype=np.int64)
+    pointers = [_addresses(arrays) for arrays in (v, weights, counts,
+                                                  feedback)]
+    v_p, w_p, c_p, f_p = map(ctypes.addressof, pointers)
+    gates = None if hidden_gates is None else _addresses(hidden_gates)
+    _lib.if_phase_f64(
+        len(weights), _p(dims), bias, T, v_p, _p(in_drive), w_p, c_p,
+        None if target is None else _p(target),
+        None if class_mask is None else _p(class_mask), f_p, dfa,
+        error_gain, hidden_error_gain,
+        None if out_gate is None else _p(out_gate),
+        None if gates is None else ctypes.addressof(gates))
 
 
 def delta_w(h_hat, h, pre, eta):

@@ -14,7 +14,7 @@ suite in ``tests/test_kernels.py``.
 """
 
 #: Bump when the C ABI below changes; part of the compile-cache key.
-SOURCE_VERSION = 3
+SOURCE_VERSION = 4
 
 SOURCE = r"""
 #include <stdint.h>
@@ -191,6 +191,131 @@ int64_t spike_deliver_i64(int64_t *out, const int64_t *weight,
         }
     }
     return count;
+}
+
+/* -- One online EMSTDP phase: T steps of the IF stack (core/network.py) - *
+ * Neurons are IFLayer's defaults (threshold 1, soft reset, no refractory
+ * period) and fire with if_step's operations in if_step's order.  Drive is
+ * summed in the order the NumPy reference fixes: 0.0, then the weight row
+ * of every neuron that spiked in ascending index, the bias row last; error
+ * drive is gain * (0.0 + sum of e[k] * B[k] over nonzero e[k]).  Silent
+ * rows are skipped.  target == NULL runs phase 1; otherwise phase 2 adds
+ * the label layer, the output error pair (gated by out_gate when given,
+ * class-masked) and the hidden error pairs (FA chain or DFA broadcast,
+ * gated by hidden_gates when given), whose spikes correct the next step.
+ * The helpers stay out of line: inlining their loops into every call site
+ * buys nothing measurable and raises the compiler's peak memory.         */
+#define PHASE_HELPER __attribute__((noinline)) static
+
+PHASE_HELPER void if_fire(double *v, const double *drive, uint8_t *s,
+                          int64_t *count, ptrdiff_t n) {
+    const double margin = 1.0 - 1e-9;
+    for (ptrdiff_t i = 0; i < n; i++) {
+        double vi = v[i] + drive[i];
+        s[i] = vi >= margin;
+        vi = vi >= margin ? vi - 1.0 : vi;
+        v[i] = vi < 0.0 ? 0.0 : vi;
+    }
+    if (count)
+        for (ptrdiff_t i = 0; i < n; i++) count[i] += s[i];
+}
+
+/* acc = 0.0 + the rows k with e[k] != 0, each scaled by e[k] unless e is
+ * NULL (then the rows with s[k] set, unscaled). */
+PHASE_HELPER void row_sum(double *acc, const double *rows, const uint8_t *s,
+                          const double *e, ptrdiff_t n_rows, ptrdiff_t n) {
+    for (ptrdiff_t j = 0; j < n; j++) acc[j] = 0.0;
+    for (ptrdiff_t k = 0; k < n_rows; k++) {
+        const double *row = rows + k * n;
+        if (e) {
+            if (e[k] == 0.0) continue;
+            double ek = e[k];
+            for (ptrdiff_t j = 0; j < n; j++) acc[j] += ek * row[j];
+        } else if (s[k]) {
+            for (ptrdiff_t j = 0; j < n; j++) acc[j] += row[j];
+        }
+    }
+}
+
+PHASE_HELPER void add_to(double *acc, const double *x, ptrdiff_t n) {
+    for (ptrdiff_t j = 0; j < n; j++) acc[j] = acc[j] + x[j];
+}
+
+/* A signed error pair fed drive[]; out = its gated signed spikes. */
+PHASE_HELPER void fire_pair(double *vp, double *vn, const double *drive,
+                            const uint8_t *gate, double *out, uint8_t *sp,
+                            uint8_t *sn, double *neg, ptrdiff_t n) {
+    for (ptrdiff_t i = 0; i < n; i++) neg[i] = -drive[i];
+    if_fire(vp, drive, sp, NULL, n);
+    if_fire(vn, neg, sn, NULL, n);
+    for (ptrdiff_t i = 0; i < n; i++) {
+        int p = gate ? sp[i] & gate[i] : sp[i];
+        int q = gate ? sn[i] & gate[i] : sn[i];
+        out[i] = (double)p - (double)q;
+    }
+}
+
+void if_phase_f64(ptrdiff_t L, const int64_t *dims, int bias, int64_t T,
+                  double *const *v, const double *in_drive,
+                  const double *const *w, int64_t *const *counts,
+                  const double *target, const uint8_t *mask,
+                  const double *const *fb, int dfa, double error_gain,
+                  double hidden_error_gain, const uint8_t *out_gate,
+                  const uint8_t *const *hidden_gates) {
+    ptrdiff_t total = 0, widest = 0;
+    for (ptrdiff_t k = 0; k <= L; k++) {
+        total += dims[k];
+        if (dims[k] > widest) widest = dims[k];
+    }
+    ptrdiff_t n_out = dims[L];
+    /* Per layer: its spikes, its pending error spikes (hidden layers and
+     * the output) and its error pair's two membranes, at offset off[k]. */
+    ptrdiff_t *off = (ptrdiff_t *)malloc((size_t)(L + 1) * sizeof(ptrdiff_t));
+    double *buf = (double *)calloc((size_t)(3 * total + 3 * widest),
+                                   sizeof(double));
+    uint8_t *sbuf = (uint8_t *)calloc((size_t)(total + 3 * widest), 1);
+    off[0] = 0;
+    for (ptrdiff_t k = 0; k < L; k++) off[k + 1] = off[k] + dims[k];
+    double *pend = buf, *vp = pend + total, *vn = vp + total;
+    double *acc = vn + total, *neg = acc + widest, *label_v = neg + widest;
+    uint8_t *sp = sbuf + total, *sn = sp + widest, *tgt = sn + widest;
+    for (int64_t t = 0; t < T; t++) {
+        /* Forward stack; phase 2 adds last step's error spikes. */
+        if_fire(v[0], in_drive, sbuf, counts[0], dims[0]);
+        for (ptrdiff_t k = 1; k <= L; k++) {
+            row_sum(acc, w[k - 1], sbuf + off[k - 1], NULL, dims[k - 1],
+                    dims[k]);
+            if (bias) add_to(acc, w[k - 1] + dims[k - 1] * dims[k], dims[k]);
+            if (target) add_to(acc, pend + off[k], dims[k]);
+            if_fire(v[k], acc, sbuf + off[k], counts[k], dims[k]);
+        }
+        if (!target) continue;
+        /* Output error pair: label spikes minus masked output spikes. */
+        if_fire(label_v, target, tgt, NULL, n_out);
+        for (ptrdiff_t j = 0; j < n_out; j++) {
+            int o = sbuf[off[L] + j] & mask[j];
+            acc[j] = error_gain * ((double)tgt[j] - (double)o);
+        }
+        double *e_out = pend + off[L];
+        fire_pair(vp + off[L], vn + off[L], acc, out_gate, e_out, sp, sn,
+                  neg, n_out);
+        for (ptrdiff_t j = 0; j < n_out; j++)
+            e_out[j] = e_out[j] * (double)mask[j];
+        /* Hidden error pairs, top down: FA feeds each from the pair above
+         * (already updated this step), DFA all from the output pair. */
+        for (ptrdiff_t k = L - 1; k >= 1; k--) {
+            const double *e = dfa ? e_out : pend + off[k + 1];
+            row_sum(acc, fb[k - 1], NULL, e, dims[dfa ? L : k + 1], dims[k]);
+            for (ptrdiff_t j = 0; j < dims[k]; j++)
+                acc[j] = hidden_error_gain * acc[j];
+            fire_pair(vp + off[k], vn + off[k], acc,
+                      hidden_gates ? hidden_gates[k - 1] : NULL,
+                      pend + off[k], sp, sn, neg, dims[k]);
+        }
+    }
+    free(off);
+    free(buf);
+    free(sbuf);
 }
 
 /* -- EMSTDP Eq. (7): dW = eta * (h_hat - h) (x) pre --------------------- */

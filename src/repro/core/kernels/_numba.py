@@ -19,7 +19,8 @@ from numba import njit
 
 # Synaptic delivery is exact integer arithmetic: the NumPy reference is
 # already bit-identical to any compiled loop, so this backend reuses it.
-from ._numpy import spike_deliver  # noqa: F401
+# The per-sample IF phase reuses the NumPy reference as well.
+from ._numpy import if_phase, spike_deliver  # noqa: F401
 
 
 @njit(cache=True)

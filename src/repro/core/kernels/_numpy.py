@@ -7,7 +7,10 @@ compiled loop performing the same operations reproduces the results bit for
 bit.  Reductions are therefore written with an explicit order: the batched
 Eq. (7) kernel accumulates per-sample outer products in batch order rather
 than delegating to a BLAS GEMM, whose blocked summation order is
-unspecified and unreproducible from a plain loop.
+unspecified and unreproducible from a plain loop.  The same rule covers
+the synaptic and error drive of :func:`if_phase`: ``0.0`` plus the weight
+rows of the neurons that spiked, in ascending index, bias row last —
+never ``spikes @ W``.
 
 Scalars are cast to the array dtype *before* entering the arithmetic so the
 float32 path performs genuine float32 operations (matching the compiled
@@ -80,6 +83,90 @@ def spike_deliver(out, weight, spikes, weight_scale, n_rep, n_src, n_dst,
         contrib = pre @ weight.reshape(n_src, n_dst)
     out += (contrib * weight_scale).reshape(-1)
     return int(np.count_nonzero(spikes))
+
+
+def _ordered_sum(rows, n):
+    """``0.0 + rows[0] + rows[1] + ...``, strictly in row order.
+
+    An accumulation is sequential by definition; ``np.add.reduce`` would
+    switch to pairwise summation for single-column rows.  The trailing
+    ``+ 0.0`` is the leading ``0.0`` of the C loop: it only turns an
+    all-``-0.0`` sum into ``+0.0``.
+    """
+    if not len(rows):
+        return np.zeros(n)
+    return np.add.accumulate(rows, axis=0)[-1] + 0.0
+
+
+def _synaptic_drive(w, spikes, bias):
+    idx = np.flatnonzero(spikes)
+    if bias:
+        idx = np.append(idx, len(w) - 1)
+    return _ordered_sum(w[idx], w.shape[1])
+
+
+def _error_drive(b, signed, gain):
+    idx = np.flatnonzero(signed)
+    return gain * _ordered_sum(b[idx] * signed[idx, None], b.shape[1])
+
+
+def if_phase(v, in_drive, weights, bias, T, counts, target, class_mask,
+             feedback, dfa, error_gain, hidden_error_gain, out_gate,
+             hidden_gates):
+    # IFLayer's defaults: threshold 1, soft reset, no refractory period.
+    def fire(v_k, drive):
+        return if_step(v_k, np.zeros(v_k.shape, np.int64), drive, 1.0, True,
+                       0)
+
+    def fire_pair(pair, drive, gate):
+        sp, sn = fire(pair[0], drive), fire(pair[1], -drive)
+        if gate is not None:
+            sp, sn = sp & gate, sn & gate
+        return sp.astype(float) - sn.astype(float)
+
+    def forward(corrections):
+        s = fire(v[0], in_drive)
+        counts[0] += s
+        for i, w in enumerate(weights):
+            drive = _synaptic_drive(w, s, bias)
+            if corrections is not None:
+                drive = drive + corrections[i]
+            s = fire(v[i + 1], drive)
+            counts[i + 1] += s
+        return s
+
+    if target is None:
+        for _ in range(T):
+            forward(None)
+        return
+    # Phase 2: the label layer and the error pairs start from rest.
+    n_hidden = [len(a) for a in v[1:-1]]
+    label_v = np.zeros(len(target))
+    out_pair = (np.zeros(len(target)), np.zeros(len(target)))
+    hidden_pairs = [(np.zeros(n), np.zeros(n)) for n in n_hidden]
+    gates = [None] * len(n_hidden) if hidden_gates is None else hidden_gates
+    pending_out = np.zeros(len(target))
+    pending_hidden = [np.zeros(n) for n in n_hidden]
+    for _ in range(T):
+        # Error spikes of the previous step correct this step's drive.
+        out = forward(pending_hidden + [pending_out])
+        out = out & class_mask
+        tgt = fire(label_v, target)
+        pending_out = fire_pair(
+            out_pair, error_gain * (tgt.astype(float) - out.astype(float)),
+            out_gate) * class_mask
+        if dfa:
+            pending_hidden = [
+                fire_pair(pair, _error_drive(b, pending_out,
+                                             hidden_error_gain), gate)
+                for b, pair, gate in zip(feedback, hidden_pairs, gates)]
+        else:
+            e_above = pending_out
+            for i in range(len(n_hidden) - 1, -1, -1):
+                pending_hidden[i] = e_above = fire_pair(
+                    hidden_pairs[i],
+                    _error_drive(feedback[i], e_above, hidden_error_gain),
+                    gates[i])
 
 
 def delta_w(h_hat, h, pre, eta):

@@ -190,7 +190,7 @@ class TestFitBatch:
                      for x, y in zip(train.flat(), train.labels)]
         assert np.array_equal(out["predictions"], seq_preds)
         for wa, wb in zip(a.weights, b.weights):
-            assert np.max(np.abs(wa - wb)) < 1e-9
+            assert np.array_equal(wa, wb)
 
     def test_minibatch_mode_learns_blobs(self, blob_task):
         xs, ys, tx, ty = blob_task

@@ -175,6 +175,16 @@ def test_rep002_flags_redefined_spike_deliver():
                         rules=get_rules(["REP002"])) == []
 
 
+def test_rep002_flags_redefined_if_phase():
+    src = _fixture("rep002_phase_bad")
+    findings = check_source(src, "src/repro/core/example.py",
+                            rules=get_rules(["REP002"]))
+    # EMSTDPNetwork._spike_phase1-style callers of the kernel stay allowed.
+    assert [f.message.split("(")[0] for f in findings] == ["def if_phase"]
+    assert check_source(src, "src/repro/core/kernels/__init__.py",
+                        rules=get_rules(["REP002"])) == []
+
+
 def test_hidden_rule_not_in_default_set():
     default_ids = {r.id for r in checks.default_rules()}
     all_ids = {r.id for r in checks.all_rules()}

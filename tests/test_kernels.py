@@ -593,6 +593,193 @@ class TestSpikeDeliverValidation:
         assert after - before == 3
 
 
+# ----------------------------------------------------------------------
+# One online EMSTDP phase (if_phase)
+# ----------------------------------------------------------------------
+
+SPIKE_GOLDEN = Path(__file__).parent / "golden" / "spike_golden.npz"
+
+
+def _phase_case(dims, dfa, bias, inputs, seed=31):
+    rng = np.random.default_rng(seed)
+    weights = [rng.uniform(-0.5, 0.8, (dims[k] + bias, dims[k + 1]))
+               for k in range(len(dims) - 1)]
+    feedback = [rng.uniform(-1.0, 1.0, (dims[-1] if dfa else dims[k + 2],
+                                        dims[k + 1]))
+                for k in range(len(dims) - 2)]
+    x = {"random": rng.random(dims[0]), "zeros": np.zeros(dims[0]),
+         "ones": np.ones(dims[0])}[inputs]
+    return weights, feedback, x
+
+
+def _two_phases(dims, weights, feedback, x, *, dfa, bias, gate_output,
+                gate_hidden, class_mask, label=1, T=12):
+    """Phase 1 then phase 2, as the network runs them; counts and v."""
+    v = [np.zeros(n) for n in dims]
+    c1 = kernels.if_phase(v, x, weights, T, bias=bias)
+    target = np.zeros(dims[-1])
+    target[label] = 1.0
+    c2 = kernels.if_phase(
+        v, x, weights, T, bias=bias, target=target * class_mask,
+        class_mask=class_mask, feedback=feedback, dfa=dfa, error_gain=1.5,
+        hidden_error_gain=0.75,
+        out_gate=c1[-1] > 0 if gate_output else None,
+        hidden_gates=[c > 0 for c in c1[1:-1]] if gate_hidden else None)
+    return (*c1, *c2, *v)
+
+
+class TestIfPhase:
+    @pytest.mark.parametrize("dims", [(12, 7, 4), (12, 7, 5, 4)])
+    @pytest.mark.parametrize("dfa", [False, True])
+    @pytest.mark.parametrize("bias", [True, False])
+    @pytest.mark.parametrize("gate_output", [False, True])
+    @pytest.mark.parametrize("gate_hidden", [True, False])
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("inputs", ["random", "zeros", "ones"])
+    def test_backends_match_numpy(self, dims, dfa, bias, gate_output,
+                                  gate_hidden, masked, inputs):
+        weights, feedback, x = _phase_case(dims, dfa, bias, inputs)
+        class_mask = np.ones(dims[-1], dtype=bool)
+        if masked:
+            class_mask[[0, 3]] = False
+        _assert_backends_identical(lambda: _two_phases(
+            dims, weights, feedback, x, dfa=dfa, bias=bias,
+            gate_output=gate_output, gate_hidden=gate_hidden,
+            class_mask=class_mask))
+
+    @pytest.mark.parametrize("n_post", [1, 2, 9])
+    def test_numpy_drive_is_the_ordered_loop(self, n_post):
+        """Rows of spiking neurons in ascending index, bias row last;
+        single-column rows are where ``np.add.reduce`` would go pairwise."""
+        from repro.core.kernels import _numpy
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            n_pre = int(rng.integers(1, 300))
+            w = rng.standard_normal((n_pre + 1, n_post)) \
+                * rng.choice([1.0, 1e-8, 1e8], size=(n_pre + 1, 1))
+            spikes = rng.random(n_pre) < rng.random()
+            signed = rng.choice([-1.0, 0.0, 1.0], size=n_pre + 1)
+            syn, err = np.zeros(n_post), np.zeros(n_post)
+            for i in range(n_pre):
+                if spikes[i]:
+                    syn += w[i]
+            syn += w[n_pre]
+            for i in range(n_pre + 1):
+                if signed[i] != 0.0:
+                    err += signed[i] * w[i]
+            assert np.array_equal(_numpy._synaptic_drive(w, spikes, True), syn)
+            assert np.array_equal(_numpy._error_drive(w, signed, 0.3),
+                                  0.3 * err)
+
+    @pytest.mark.parametrize("backend", AVAILABLE)
+    @pytest.mark.parametrize("key", ["fa3", "dfa3", "fa4", "dfa4"])
+    def test_golden_online_training(self, backend, key):
+        """8 online samples reproduce the rates and weights recorded with
+        the per-step IFLayer loop the kernel replaced."""
+        sys.path.insert(0, str(SPIKE_GOLDEN.parent))
+        try:
+            from generate_spike import CASES, config
+        finally:
+            sys.path.remove(str(SPIKE_GOLDEN.parent))
+        from repro.core.network import EMSTDPNetwork
+        golden = np.load(SPIKE_GOLDEN)
+        _, dims, feedback = next(c for c in CASES if c[0] == key)
+        net = EMSTDPNetwork(dims, config(feedback))
+        state = net.state_dict()
+        state["weights"] = [golden[f"{key}_w0_{i}"]
+                            for i in range(len(dims) - 1)]
+        state["feedback_weights"] = [golden[f"{key}_b_{i}"]
+                                     for i in range(len(dims) - 2)]
+        net.load_state_dict(state)
+        with kernels.forced_backend(backend):
+            results = [net.train_sample(x, int(y))
+                       for x, y in zip(golden["x"], golden["y"])]
+        for layer in range(len(dims)):
+            for name, field in (("h", "h"), ("hhat", "h_hat")):
+                got = np.stack([r[field][layer] for r in results])
+                assert np.array_equal(got, golden[f"{key}_{name}_{layer}"]), \
+                    (name, layer)
+        for i, w in enumerate(net.weights):
+            assert np.array_equal(w, golden[f"{key}_w_{i}"]), i
+
+    @pytest.mark.parametrize("backend", AVAILABLE)
+    def test_strided_membranes_are_updated_in_place(self, backend):
+        dims = (12, 7, 4)
+        weights, _, x = _phase_case(dims, False, True, "random")
+        with kernels.forced_backend(backend):
+            v = [np.zeros(n) for n in dims]
+            ref = kernels.if_phase(v, x, weights, 9)
+            views = [_noncontig(np.zeros(n)) for n in dims]
+            got = kernels.if_phase(views, x, weights, 9)
+        for a, b in zip(ref + v, got + views):
+            assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("backend", AVAILABLE)
+class TestIfPhaseValidation:
+    """Every shape is checked before a pointer reaches a compiled loop."""
+
+    def _net(self):
+        from repro.core.config import EMSTDPConfig
+        from repro.core.network import EMSTDPNetwork
+        return EMSTDPNetwork((12, 7, 4), EMSTDPConfig(
+            dynamics="spike", phase_length=8, feedback="fa"))
+
+    @pytest.mark.parametrize("n_in", [11, 13, 0])
+    def test_wrong_length_input_raises(self, backend, n_in):
+        net = self._net()
+        with kernels.forced_backend(backend):
+            with pytest.raises(ValueError, match="input drive"):
+                net.train_sample(np.full(n_in, 0.5), 1)
+            with pytest.raises(ValueError, match="input drive"):
+                net.predict(np.full(n_in, 0.5))
+
+    def test_out_of_range_label_raises(self, backend):
+        net = self._net()
+        with kernels.forced_backend(backend):
+            for label in (-1, 4):
+                with pytest.raises(ValueError, match="out of range"):
+                    net.train_sample(np.full(12, 0.5), label)
+
+    def test_rejects_shapes_that_do_not_fit(self, backend):
+        dims = (12, 7, 5, 4)
+        weights, feedback, x = _phase_case(dims, False, True, "random")
+        v = [np.zeros(n) for n in dims]
+        target = np.eye(4)[1]
+        bad_w = [weights[0], weights[1][:-1], weights[2]]
+        bad_fb = [feedback[0], feedback[1].T]
+        cases = [
+            (dict(weights=bad_w), "weights\\[1\\]"),
+            (dict(weights=weights[:2]), "weight blocks"),
+            (dict(bias=False), "weights\\[0\\]"),
+            (dict(target=np.ones(3), feedback=feedback), "target"),
+            (dict(target=target, feedback=bad_fb), "feedback\\[1\\]"),
+            (dict(target=target, feedback=feedback, dfa=True),
+             "feedback\\[0\\]"),
+            (dict(target=target, feedback=feedback[:1]), "feedback blocks"),
+            (dict(target=target, feedback=feedback, out_gate=np.ones(5)),
+             "out_gate"),
+            (dict(target=target, feedback=feedback,
+                  hidden_gates=[np.ones(7), np.ones(4)]), "hidden_gates"),
+            (dict(target=target, feedback=feedback,
+                  class_mask=np.ones(2)), "class_mask"),
+            (dict(feedback=feedback), "phase-2 target"),
+        ]
+        with kernels.forced_backend(backend):
+            for overrides, match in cases:
+                args = dict(weights=weights, bias=True)
+                args.update(overrides)
+                w = args.pop("weights")
+                with pytest.raises(ValueError, match=match):
+                    kernels.if_phase(v, x, w, 8, **args)
+            with pytest.raises(TypeError, match="dtype"):
+                kernels.if_phase([a.astype(np.float32) for a in v], x,
+                                 weights, 8)
+            with pytest.raises(ValueError, match="1-D"):
+                kernels.if_phase([np.zeros((1, 12))] + v[1:], x, weights, 8)
+        assert all(not a.any() for a in v)  # nothing ran
+
+
 def _spy_numpy(monkeypatch, name):
     """Count calls to the NumPy backend's ``name`` kernel."""
     from repro.core.kernels import _numpy

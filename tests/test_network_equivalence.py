@@ -141,7 +141,7 @@ class TestBatchedVsSequential:
         for x, y in zip(xs, ys):
             b.train_sample(x, int(y))
         for wa, wb in zip(a.weights, b.weights):
-            assert np.max(np.abs(wa - wb)) < 1e-9
+            assert np.array_equal(wa, wb)
 
     def test_minibatch_equals_frozen_weight_mean_update(self):
         """Minibatch mode == mean of per-sample Eq. (7) deltas at frozen W."""
