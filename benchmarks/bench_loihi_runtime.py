@@ -15,8 +15,10 @@ Measured here, DFA feedback, dims (64, 64, 10), T = 32:
   at 32 replicas;
 * equivalence: every benchmark run re-asserts that batched learning is
   bit-identical (weights and output spike counts) to sequential
-  per-replica execution before timing anything — a fast batched runtime
-  that drifted from the chip semantics would be worthless.
+  per-replica execution, and that batched inference on the trained
+  weights equals sequential ``infer``, before timing anything — a fast
+  batched runtime that drifted from the chip semantics would be
+  worthless.
 
 ``bench_loihi_smoke`` is the <60s CI variant: smaller sample budget, same
 assertions.
@@ -53,7 +55,8 @@ def _samples_per_sec(fn, n_samples: int) -> float:
 
 
 def _assert_bit_identical(replicas: int = 4) -> None:
-    """Batched learning == sequential per-replica execution, bit for bit."""
+    """Batched learning == sequential per-replica execution, bit for bit,
+    and batched inference on the trained weights == sequential ``infer``."""
     from repro.onchip.trainer import host_reduce_rng
 
     cfg = _config()
@@ -82,6 +85,9 @@ def _assert_bit_identical(replicas: int = 4) -> None:
         expect = np.clip(w0[i] + add, -127, 127)
         assert np.array_equal(conn.weight_mant, expect.astype(np.int64)), \
             f"connection {i}: batched mean-of-deltas write-back differs"
+    assert np.array_equal(batched.infer_batch(xs),
+                          np.stack([batched.infer(x) for x in xs])), \
+        "batched inference differs from sequential infer"
 
 
 def _infer_throughput(n_samples: int):

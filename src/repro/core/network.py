@@ -126,23 +126,17 @@ class EMSTDPNetwork:
 
     def forward_rates(self, x: np.ndarray,
                       corrections: Optional[List[np.ndarray]] = None,
-                      current_corrections: Optional[List[np.ndarray]] = None,
                       ) -> List[np.ndarray]:
         """Steady-state rates of every layer given input ``x`` in [0, 1].
 
         ``corrections[i]`` (signed spike rates) are added *after* the IF
         quantization of layer ``i+1`` — the effect of one-to-one error spikes
-        carrying a full threshold's worth of charge.  ``current_corrections``
-        are added to the membrane drive *before* quantization — the effect of
-        DFA's random-weight error broadcast.
+        carrying a full threshold's worth of charge.
         """
         T = self.config.T
         rates = [quantize_to_bins(np.asarray(x, dtype=float), T)]
         for i, w in enumerate(self.weights):
-            drive = self._augment(rates[i]) @ w
-            if current_corrections is not None and current_corrections[i] is not None:
-                drive = drive + current_corrections[i]
-            r = rate_activation(drive, T)
+            r = rate_activation(self._augment(rates[i]) @ w, T)
             if corrections is not None and corrections[i] is not None:
                 r = quantize_rate(np.clip(r + corrections[i], 0.0, 1.0), T)
             if i == self.n_layers - 1:
@@ -222,7 +216,6 @@ class EMSTDPNetwork:
         damping = 0.5
         e_out = np.zeros(self.n_classes)
         corrections: List[Optional[np.ndarray]] = [None] * self.n_layers
-        current: List[Optional[np.ndarray]] = [None] * self.n_layers
         for _ in range(cfg.phase2_iterations):
             e_pos, e_neg = signed_error_rates(target, h_hat[-1], cfg.error_gain, T)
             if cfg.gate_output:
@@ -261,8 +254,7 @@ class EMSTDPNetwork:
                         en = en * gates[i + 1]
                     prev = corrections[i] if corrections[i] is not None else 0.0
                     corrections[i] = prev + damping * ((ep - en) - prev)
-            h_hat = self.forward_rates(x, corrections=corrections,
-                                       current_corrections=current)
+            h_hat = self.forward_rates(x, corrections=corrections)
         return h, h_hat
 
     # -- spike backend --------------------------------------------------
@@ -318,23 +310,18 @@ class EMSTDPNetwork:
 
     def forward_rates_batch(self, X: np.ndarray,
                             corrections: Optional[List[np.ndarray]] = None,
-                            current_corrections: Optional[List[np.ndarray]] = None,
                             ) -> List[np.ndarray]:
         """Batched :meth:`forward_rates`: ``(B, n_in)`` in, ``(B, n_i)`` out.
 
         Row ``b`` of every returned layer equals ``forward_rates(X[b])`` —
         the dynamics are elementwise on the ``1/T`` grid, so stacking
         samples on a leading axis changes nothing but the matmul shape.
-        ``corrections`` / ``current_corrections`` carry the same leading
-        batch dimension when given.
+        ``corrections`` carry the same leading batch dimension when given.
         """
         T = self.config.T
         rates = [quantize_to_bins(self._as_batch(X), T)]
         for i, w in enumerate(self.weights):
-            drive = self._augment_batch(rates[i]) @ w
-            if current_corrections is not None and current_corrections[i] is not None:
-                drive = drive + current_corrections[i]
-            r = rate_activation(drive, T)
+            r = rate_activation(self._augment_batch(rates[i]) @ w, T)
             if corrections is not None and corrections[i] is not None:
                 r = quantize_rate(np.clip(r + corrections[i], 0.0, 1.0), T)
             if i == self.n_layers - 1:
@@ -455,7 +442,6 @@ class EMSTDPNetwork:
         damping = 0.5
         e_out = np.zeros((B, self.n_classes))
         corrections: List[Optional[np.ndarray]] = [None] * self.n_layers
-        current: List[Optional[np.ndarray]] = [None] * self.n_layers
         for _ in range(cfg.phase2_iterations):
             e_pos, e_neg = signed_error_rates(target, h_hat[-1], cfg.error_gain, T)
             if cfg.gate_output:
@@ -488,12 +474,24 @@ class EMSTDPNetwork:
                         en = en * gates[i + 1]
                     prev = corrections[i] if corrections[i] is not None else 0.0
                     corrections[i] = prev + damping * ((ep - en) - prev)
-            h_hat = self.forward_rates_batch(X, corrections=corrections,
-                                             current_corrections=current)
+            h_hat = self.forward_rates_batch(X, corrections=corrections)
         return h, h_hat
 
     def _make_layers_batch(self, B: int) -> List[IFLayer]:
         return [IFLayer(n, batch_size=B) for n in self.dims]
+
+    def _operands_batch(self, B: int) -> List[np.ndarray]:
+        """One ``(B, n + bias)`` float gemm operand per weight layer.
+
+        The bias column is written once; every step copies the layer's
+        spikes into the rest — the operand :meth:`_augment_batch` would
+        build, without allocating it every step.
+        """
+        ops = [np.empty((B, n + self._bias)) for n in self.dims[:-1]]
+        if self._bias:
+            for op in ops:
+                op[:, -1] = 1.0
+        return ops
 
     def _spike_phase1_batch(self, X: np.ndarray
                             ) -> Tuple[List[np.ndarray], List[IFLayer]]:
@@ -502,12 +500,12 @@ class EMSTDPNetwork:
         B = X.shape[0]
         layers = self._make_layers_batch(B)
         in_bias = bias_encode(X, T)
-        spikes = [np.zeros((B, n)) for n in self.dims]
+        ops = self._operands_batch(B)
         for _ in range(T):
-            spikes[0] = layers[0].step(in_bias).astype(float)
+            fired = layers[0].step(in_bias)
             for i, w in enumerate(self.weights):
-                drive = self._augment_batch(spikes[i]) @ w
-                spikes[i + 1] = layers[i + 1].step(drive).astype(float)
+                ops[i][:, :self.dims[i]] = fired
+                fired = layers[i + 1].step(ops[i] @ w)
         h = [layer.spike_count / T for layer in layers]
         h[-1] = h[-1] * self.class_mask
         return h, layers
@@ -530,28 +528,22 @@ class EMSTDPNetwork:
         hidden_err = [SignedErrorLayer(n, batch_size=B)
                       for n in self.dims[1:-1]]
 
-        spikes = [np.zeros((B, n)) for n in self.dims]
+        ops = self._operands_batch(B)
         pending_out = np.zeros((B, self.n_classes))
         pending_hidden = [np.zeros((B, n)) for n in self.dims[1:-1]]
 
         for _ in range(T):
-            corrections: List[Optional[np.ndarray]] = [None] * self.n_layers
-            corrections[-1] = pending_out * self.class_mask
-            for i in range(self.n_layers - 1):
-                corrections[i] = pending_hidden[i]
-
-            spikes[0] = layers[0].step(in_bias).astype(float)
+            corrections = pending_hidden + [pending_out * self.class_mask]
+            fired = layers[0].step(in_bias)
             for i, w in enumerate(self.weights):
-                drive = self._augment_batch(spikes[i]) @ w
-                if corrections[i] is not None:
-                    drive = drive + corrections[i]
-                spikes[i + 1] = layers[i + 1].step(drive).astype(float)
-            spikes[-1] = spikes[-1] * self.class_mask
+                ops[i][:, :self.dims[i]] = fired
+                fired = layers[i + 1].step(ops[i] @ w + corrections[i])
+            out_spikes = fired.astype(float) * self.class_mask
 
             tgt_spikes = label_layer.step(target).astype(float)
             out_gate = gates[-1] if cfg.gate_output else None
             pending_out = out_err.step(
-                cfg.error_gain * (tgt_spikes - spikes[-1]), gate=out_gate)
+                cfg.error_gain * (tgt_spikes - out_spikes), gate=out_gate)
             pending_out = pending_out * self.class_mask
 
             if cfg.feedback == "fa":

@@ -121,6 +121,7 @@ class CompartmentGroup:
         self.bias = np.full(shape, proto.bias_mant << MANT_SHIFT,
                             dtype=np.int64)
         self.spikes = np.zeros(shape, dtype=bool)
+        self._silent = True
         self.spike_count = np.zeros(shape, dtype=np.int64)
         self._refrac = np.zeros(shape, dtype=np.int64)
         self._kernel: Optional[kernels.BoundKernel] = None
@@ -209,7 +210,7 @@ class CompartmentGroup:
         phase gate of the two-phase EMSTDP schedule).
         """
         if not self.enabled:
-            self.spikes = np.zeros(self.state_shape, dtype=bool)
+            self.silence()
             return self.spikes
         # Current decay/accumulation (Eq. 8, forward-Euler, integer), leak,
         # threshold, reset and refractory bookkeeping all run in the
@@ -217,7 +218,7 @@ class CompartmentGroup:
         # counters in place.
         fired = self._bound_kernel()(syn_input)
         if self.proto.non_spiking:
-            self.spikes = np.zeros(self.state_shape, dtype=bool)
+            self.silence()
             return self.spikes
         if self.gate_group is not None:
             fired = fired & self.gate_group.active()
@@ -225,8 +226,21 @@ class CompartmentGroup:
             fired = fired | self.merge_group.spikes
         fired = fired & self.mask
         self.spikes = fired
+        self._silent = False
         self.spike_count += fired
         return fired
+
+    def silence(self) -> None:
+        """Zero the spike flags of a disabled or non-spiking group.
+
+        Only the first call after the group last fired allocates: a
+        disabled group's last spikes stay visible until its next step (and
+        are delivered then, one step late, like any spike), after which the
+        group holds one all-zero flag array.
+        """
+        if not self._silent:
+            self.spikes = np.zeros(self.state_shape, dtype=bool)
+            self._silent = True
 
     def _bound_kernel(self) -> kernels.BoundKernel:
         """The compartment kernel bound to the current state arrays

@@ -5,12 +5,20 @@ update):
 
 1. every connection delivers the spikes its source emitted on the
    *previous* step (one-step conduction delay);
-2. every compartment group integrates and fires, in declaration order —
-   so an auxiliary gate compartment declared before its soma gates the
-   same step's output;
-3. plastic connections update their trace counters;
+2. every enabled compartment group integrates and fires, in declaration
+   order — so an auxiliary gate compartment declared before its soma gates
+   the same step's output;
+3. when the host runs with learning on, plastic connections update their
+   trace counters;
 4. the learning engine runs only at host-triggered *learning epochs*
    (the phase boundaries of Operation Flow 1), never inside the loop.
+
+Work nothing can observe is skipped: a disabled group is not stepped (its
+spikes are zeroed once, so a group disabled mid-run still delivers its
+last spikes one step later), deliveries from silent sources and into
+disabled groups compute no current, and a run with learning off updates no
+traces.  Synaptic events are still booked as spikes x fan-out for every
+delivery, so the energy counters do not depend on these shortcuts.
 
 The runtime also owns the counters (:class:`~repro.loihi.energy.RunStats`)
 that the energy model turns into Table II / Fig. 3 rows.
@@ -106,15 +114,16 @@ class Runtime:
 
     # -- execution ---------------------------------------------------------------
 
-    def step(self) -> None:
-        """One barrier-synchronized timestep."""
-        self._step_shards()
+    def step(self, learn: bool = True) -> None:
+        """One barrier-synchronized timestep (traces only if ``learn``)."""
+        self._step_shards(learn)
 
-    def _step_shards(self) -> None:
+    def _step_shards(self, learn: bool) -> None:
         """Deliver, integrate and trace every shard, barrier between."""
         self._each_shard(_Shard.deliver)
         n_spikes = sum(self._each_shard(_Shard.step_groups))
-        self._each_shard(_Shard.update_traces)
+        if learn:
+            self._each_shard(_Shard.update_traces)
         for shard in self.shards:
             shard.stats.steps += 1
         self.stats.steps += 1
@@ -127,9 +136,15 @@ class Runtime:
         futures = [self._pool.submit(fn, shard) for shard in self.shards]
         return [f.result() for f in futures]
 
-    def run(self, steps: int) -> None:
+    def run(self, steps: int, learn: bool = True) -> None:
+        """Advance ``steps`` timesteps.
+
+        ``learn=False`` is the host's learning switch for inference: the
+        trace counters, which only a learning epoch reads, are not updated.
+        It holds for this call only, so every run states its own mode.
+        """
         for _ in range(steps):
-            self.step()
+            self.step(learn)
         self._collect_syn_events()
 
     def _collect_syn_events(self) -> None:
@@ -201,18 +216,29 @@ class _Shard:
         self._syn_events_seen = 0
 
     def deliver(self) -> None:
-        """Currents from the spikes each source emitted on the last step."""
+        """Currents from the spikes each source emitted on the last step.
+
+        A disabled destination discards its current, so its deliveries
+        only book their synaptic events.
+        """
         for buf in self._fed:
             buf.fill(0)
         for conn, buf in self._deliveries:
             spikes = conn.src.spikes
-            if spikes.any():
+            if not spikes.any():
+                continue
+            if conn.dst.enabled:
                 conn.propagate(spikes, out=buf)
+            else:
+                conn.count_events(spikes)
 
     def step_groups(self) -> int:
         n_spikes = 0
         for group, current in self._inputs:
-            n_spikes += int(group.step(current).sum())
+            if group.enabled:
+                n_spikes += int(group.step(current).sum())
+            else:
+                group.silence()
         self.stats.spikes += n_spikes
         return n_spikes
 
@@ -245,8 +271,8 @@ class ShardedRuntime(Runtime):
        connections from the *previous* step's spikes (read-only, parallel);
     2. **integrate** — every shard steps its groups in declaration order
        (writes stay inside the shard, parallel);
-    3. **trace** — every shard updates its inbound plastic traces from the
-       freshly written spikes (parallel).
+    3. **trace** — when learning is on, every shard updates its inbound
+       plastic traces from the freshly written spikes (parallel).
 
     Learning epochs stay sequential over connections: the engine's
     stochastic-rounding streams are consumed in connection order, and that
@@ -306,13 +332,13 @@ class ShardedRuntime(Runtime):
 
     # -- execution ---------------------------------------------------------
 
-    def step(self) -> None:
+    def step(self, learn: bool = True) -> None:
         """One barrier-synchronized timestep, shards stepped in parallel.
 
         The same stepping as :meth:`Runtime.step`, defined here so traces
         and profilers attribute sharded steps apart from plain ones.
         """
-        self._step_shards()
+        self._step_shards(learn)
 
     def merged_shard_stats(self) -> RunStats:
         """Per-shard counters folded into one :class:`RunStats`.

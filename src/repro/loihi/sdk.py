@@ -77,12 +77,13 @@ class Network:
     # -- resource queries ----------------------------------------------------
 
     def fanin(self, group: CompartmentGroup) -> int:
-        """Max synaptic fan-in of any neuron in ``group``."""
+        """Max synaptic fan-in of any neuron in ``group`` (of any replica,
+        when a plastic block holds per-replica weights)."""
         total = 0
         for conn in self.connections:
             if conn.dst is group:
-                total += int(np.max(np.count_nonzero(conn.weight_mant, axis=0),
-                                    initial=0))
+                total += int(np.max(np.count_nonzero(conn.weight_mant,
+                                                     axis=-2), initial=0))
         return total
 
     def fanout(self, group: CompartmentGroup) -> int:
@@ -90,8 +91,8 @@ class Network:
         total = 0
         for conn in self.connections:
             if conn.src is group:
-                total += int(np.max(np.count_nonzero(conn.weight_mant, axis=1),
-                                    initial=0))
+                total += int(np.max(np.count_nonzero(conn.weight_mant,
+                                                     axis=-1), initial=0))
         return total
 
     def n_compartments(self) -> int:

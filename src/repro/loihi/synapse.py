@@ -65,23 +65,22 @@ class ConnectionGroup:
                 f"src has {src.replicas} replicas, dst has {dst.replicas}")
         self.src = src
         self.dst = dst
-        #: Replica count inherited from the endpoint groups.  Static
-        #: connections share one ``(src.n, dst.n)`` weight block across all
-        #: replicas (the values never diverge); plastic connections with
-        #: ``replicas > 1`` carry an independent ``(replicas, src.n, dst.n)``
-        #: weight/tag copy per replica so batched learning matches
-        #: sequential per-replica execution bit for bit.
+        #: Replica count inherited from the endpoint groups.  Every
+        #: connection starts with one C-contiguous ``(src.n, dst.n)`` weight
+        #: block shared by all replicas.  A replicated plastic connection
+        #: keeps it shared while the replicas agree: the learning engine's
+        #: ``weight_mant + dz`` with a per-replica ``dz`` turns it into a
+        #: ``(replicas, src.n, dst.n)`` block only when a weight rule
+        #: fires, so batched learning still matches sequential per-replica
+        #: execution bit for bit.  Tags are always per-replica.
         self.replicas = src.replicas
-        weight_mant = np.array(weight_mant, dtype=np.int64, order="C")
-        if plastic and self.replicas > 1:
-            weight_mant = np.broadcast_to(
-                weight_mant, (self.replicas,) + weight_mant.shape).copy()
-        self.weight_mant = weight_mant
+        self.weight_mant = np.array(weight_mant, dtype=np.int64, order="C")
         self.weight_scale = int(weight_scale)
         self.plastic = bool(plastic)
         self.learning_rule = learning_rule
         self.name = name or f"{src.name}->{dst.name}"
-        tag_shape = self.weight_mant.shape
+        tag_shape = self.weight_mant.shape if self.replicas == 1 \
+            else (self.replicas,) + self.weight_mant.shape
         self.tag = np.zeros(tag_shape, dtype=np.int64) if plastic else None
         self.pre_trace = counter_trace(src.n, self.replicas) if plastic \
             else None
@@ -116,9 +115,15 @@ class ConnectionGroup:
         self.syn_events += count * self.dst.n
         return out
 
+    def count_events(self, spikes: np.ndarray) -> None:
+        """Book the synaptic events of ``spikes`` without delivering them,
+        for a destination that is disabled and would discard the current."""
+        self.syn_events += int(np.count_nonzero(spikes)) * self.dst.n
+
     def _bound_kernel(self, out: np.ndarray) -> kernels.BoundKernel:
-        """The delivery kernel bound to ``out`` and the current weights
-        (bound again after a learning epoch or ``set_weights``)."""
+        """The delivery kernel bound to ``out`` and the current weights,
+        shared ``(src.n, dst.n)`` or per-replica (bound again after a
+        learning epoch or ``set_weights``)."""
         k = self._kernel
         if k is None or not k.bound_to(out, self.weight_mant):
             k = self._kernel = kernels.bind_spike_deliver(
@@ -144,20 +149,23 @@ class ConnectionGroup:
     def set_weights(self, weight_mant: np.ndarray) -> None:
         """Overwrite mantissas (host reprogramming), with range check.
 
-        A replicated plastic connection also accepts one ``(src.n, dst.n)``
-        block, broadcast to every replica — how the batched trainer seeds
-        each chunk with the canonical weights.
+        One ``(src.n, dst.n)`` block is stored as it is, shared by every
+        replica — how the batched trainer seeds each chunk with the
+        canonical weights.  A replicated plastic connection also accepts a
+        ``(replicas, src.n, dst.n)`` block programming each replica.  The
+        connection keeps its own copy either way.
         """
         weight_mant = np.asarray(weight_mant)
-        if weight_mant.shape == (self.src.n, self.dst.n) \
-                and self.weight_mant.ndim == 3:
-            weight_mant = np.broadcast_to(
-                weight_mant, self.weight_mant.shape)
-        if weight_mant.shape != self.weight_mant.shape:
-            raise ValueError("shape mismatch")
-        self.weight_mant = np.clip(weight_mant, -WEIGHT_MANT_MAX,
-                                   WEIGHT_MANT_MAX).astype(np.int64,
-                                                           order="C")
+        shapes = [(self.src.n, self.dst.n)]
+        if self.plastic and self.replicas > 1:
+            shapes.append((self.replicas,) + shapes[0])
+        if weight_mant.shape not in shapes:
+            raise ValueError(
+                f"weights must have shape {' or '.join(map(str, shapes))}, "
+                f"got {weight_mant.shape}")
+        self.weight_mant = np.ascontiguousarray(
+            np.clip(weight_mant, -WEIGHT_MANT_MAX, WEIGHT_MANT_MAX),
+            dtype=np.int64)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = "plastic" if self.plastic else "static"

@@ -121,9 +121,9 @@ class OnChipEMSTDP:
         The twin is rebuilt through the same builder path (identical group
         and connection order), then every connection's mantissas, every
         group's bias and every per-compartment mask are copied from this
-        network's *current* state — plastic weights broadcast to all
-        replicas — so the copy is exact however this network was
-        initialized or trained.
+        network's *current* state — each plastic weight block into one
+        block the replicas share — so the copy is exact however this
+        network was initialized or trained.
         """
         twin = build_emstdp_network(
             self.dims, self.config, scales=self.scales,
@@ -141,9 +141,10 @@ class OnChipEMSTDP:
 def sync_networks(src: OnChipEMSTDP, dst: OnChipEMSTDP) -> None:
     """Copy ``src``'s learned state onto ``dst`` (a replica twin).
 
-    Connection mantissas are copied pairwise in build order (plastic blocks
-    broadcast across ``dst``'s replicas) and per-compartment masks follow —
-    the host-side "program the chip" step before each batched chunk.
+    Connection mantissas are copied pairwise in build order — each into one
+    ``(src.n, dst.n)`` block that ``dst``'s replicas share and ``dst`` owns
+    — and per-compartment masks follow: the host-side "program the chip"
+    step before each batched chunk.
     """
     if len(src.network.connections) != len(dst.network.connections):
         raise ValueError("networks have different topology")
@@ -185,8 +186,9 @@ def build_emstdp_network(dims: Sequence[int], config: EMSTDPConfig,
     ``replicas > 1`` builds the *batch-parallel* network: ``replicas``
     independent copies of the whole Fig. 1b wiring sharing one declaration,
     stepped together by the vectorized runtime (each copy carries its own
-    membrane/trace/tag/plastic-weight state).  The trainer uses such a twin
-    for ``fit_batch``/``predict_batch``.
+    membrane/trace/tag state; plastic weights start as one shared block
+    and become per-replica once learning changes them).  The trainer uses
+    such a twin for ``fit_batch``/``predict_batch``.
     """
     dims = validate_dims(dims)
     cfg = config

@@ -17,7 +17,9 @@ Per training sample:
    ``dw = 2^(e+1)*y1*x1 - 2^e*t*x1`` fires with stochastic rounding;
 6. all state (membrane potentials, traces, tags) resets.
 
-Inference runs phase 1 only and reads the output spike counters.
+Inference runs phase 1 only, with learning off and the whole error path
+(auxiliary gate compartments included) disabled, and reads the output
+spike counters.
 """
 
 from __future__ import annotations
@@ -113,6 +115,7 @@ class LoihiEMSTDPTrainer:
         #: phase 1 so they can record forward activity.
         self._phase2_names = [n for n in model.error_path_names
                               if "aux" not in n]
+        self._aux_names = [n for n in model.error_path_names if "aux" in n]
         self.mapping: Optional[Mapping] = None
         self._neurons_per_core = neurons_per_core
         if compile_now:
@@ -182,6 +185,7 @@ class LoihiEMSTDPTrainer:
         rt.reset_tags()
         self._program_input(x)
         self._program_label(label)
+        rt.enable(self._aux_names)
         rt.disable(self._phase2_names)
         rt.run(T)
         h_out = rt.spike_counts(self.model.output_name).astype(float) / T
@@ -208,9 +212,8 @@ class LoihiEMSTDPTrainer:
         T = self.model.config.T
         rt.reset_state(counts=True)
         self._program_input(x)
-        if self.model.label_name is not None:
-            rt.disable(self._phase2_names)
-        rt.run(T)
+        rt.disable(self.model.error_path_names)
+        rt.run(T, learn=False)
         rt.mark_sample()
         return rt.spike_counts(self.model.output_name).astype(float) / T
 
@@ -229,7 +232,9 @@ class LoihiEMSTDPTrainer:
     # bit-identical to a sequential single-replica run (the equivalence
     # contract of ``tests/test_loihi_batched.py``).  The canonical
     # single-replica network stays the source of truth for weights; twins
-    # are re-programmed from it before every chunk.
+    # are re-programmed from it before every chunk, into one weight block
+    # per plastic connection that all replicas share until learning makes
+    # them diverge.
 
     def _as_batch(self, X) -> np.ndarray:
         """Coerce input to a ``(B, n_in)`` float block (1-D becomes B=1)."""
@@ -353,6 +358,7 @@ class LoihiEMSTDPTrainer:
             rt.reset_traces()
             rt.reset_tags()
             self._program_batch(rt, model_b, xb, labels=yb)
+            rt.enable(self._aux_names)
             rt.disable(self._phase2_names)
             rt.run(T)
             counts = np.atleast_2d(rt.spike_counts(model_b.output_name))
@@ -423,9 +429,8 @@ class LoihiEMSTDPTrainer:
             xb = X[lo:lo + width]
             model_b, rt = self._fresh_chunk(len(xb))
             self._program_batch(rt, model_b, xb)
-            if model_b.label_name is not None:
-                rt.disable(self._phase2_names)
-            rt.run(T)
+            rt.disable(model_b.error_path_names)
+            rt.run(T, learn=False)
             rt.mark_sample(len(xb))
             counts = np.atleast_2d(rt.spike_counts(model_b.output_name))
             out[lo:lo + len(xb)] = counts.astype(float) / T

@@ -242,6 +242,62 @@ class TestTrainerBatchedPath:
                               update_mode="minibatch")
 
 
+class TestSharedWeightBlock:
+    """A replicated twin holds one weight block while its replicas agree."""
+
+    DIMS = TestTrainerBatchedPath.DIMS
+    R = 4
+
+    def fresh(self, **kw):
+        return TestTrainerBatchedPath().fresh(batch_replicas=self.R, **kw)
+
+    def twin_pairs(self, trainer):
+        twin, _ = trainer._twins[self.R]
+        return list(zip(trainer.model.plastic_connections,
+                        twin.plastic_connections))
+
+    def test_sync_stores_one_owned_block_per_plastic_connection(self):
+        xs, _ = make_blobs(8, 3, self.R, seed=0)
+        trainer = self.fresh()
+        trainer.infer_batch(xs)
+        for mine, theirs in self.twin_pairs(trainer):
+            assert theirs.weight_mant.shape == mine.weight_mant.shape
+            assert theirs.weight_mant.flags.c_contiguous
+            assert np.array_equal(theirs.weight_mant, mine.weight_mant)
+            assert not np.shares_memory(theirs.weight_mant,
+                                        mine.weight_mant)
+            assert theirs.tag.shape == (self.R,) + mine.weight_mant.shape
+
+    def test_infer_batch_after_minibatch_is_shared_and_exact(self):
+        xs, ys = make_blobs(8, 3, 2 * self.R, seed=1)
+        trainer = self.fresh()
+        trainer.fit_batch(xs[:self.R], ys[:self.R], update_mode="minibatch")
+        # the weight rule fired with per-replica deltas
+        assert all(t.weight_mant.ndim == 3
+                   for _, t in self.twin_pairs(trainer))
+        rates = trainer.infer_batch(xs[self.R:])
+        assert all(t.weight_mant.ndim == 2
+                   for _, t in self.twin_pairs(trainer))
+        np.testing.assert_array_equal(
+            rates, np.stack([trainer.infer(x) for x in xs[self.R:]]))
+
+    def test_inference_does_not_leak_into_training(self):
+        xs, ys = make_blobs(8, 3, 2 * self.R, seed=2)
+        a, b = self.fresh(), self.fresh()
+        a.infer(xs[0])
+        a.infer_batch(xs)
+        for x, y in zip(xs[:3], ys[:3]):
+            out_a = a.train_sample(x, int(y))
+            out_b = b.train_sample(x, int(y))
+            np.testing.assert_array_equal(out_a["h_out"], out_b["h_out"])
+        a.infer_batch(xs)
+        a.fit_batch(xs, ys, update_mode="minibatch")
+        b.fit_batch(xs, ys, update_mode="minibatch")
+        for ca, cb in zip(a.model.plastic_connections,
+                          b.model.plastic_connections):
+            assert np.array_equal(ca.weight_mant, cb.weight_mant)
+
+
 class TestChipScenarioRouting:
     def test_offline_accuracy_chip_backend_end_to_end(self, tmp_path):
         from repro.experiments import get_scenario

@@ -38,6 +38,16 @@ class TestNetworkBuilder:
         assert net.fanout(a) == 2
         assert net.fanin(a) == 0
 
+    def test_fanin_fanout_of_per_replica_weights(self):
+        net = Network("t", replicas=3)
+        a = net.create_group(4, if_prototype(), "a")
+        b = net.create_group(2, if_prototype(), "b")
+        conn = net.connect(a, b, np.full((4, 2), 32), weight_scale=64,
+                           plastic=True)
+        conn.set_weights(np.full((3, 4, 2), 32))
+        assert net.fanin(b) == 4
+        assert net.fanout(a) == 2
+
     def test_counts(self):
         net, *_ = tiny_network()
         assert net.n_compartments() == 6
@@ -79,6 +89,46 @@ class TestRuntime:
         rt.enable(["a"])
         rt.run(5)
         assert rt.spike_counts("a").sum() == 4 * 5
+
+    def test_group_disabled_mid_run_delivers_last_spikes_one_step_late(self):
+        net, a, b, _ = tiny_network()
+        rt = Runtime(net, rng=np.random.default_rng(0))
+        rt.set_bias("a", np.full(4, a.proto.vth))
+        rt.run(3)
+        rt.disable(["a"])
+        rt.run(1)
+        # a's step-2 spikes are delivered during the first disabled step
+        # (b.u is that step's input under decay_u = 4096) ...
+        assert (b.u == 4 * 32 * 64).all()
+        assert not a.spikes.any()
+        rt.run(1)
+        # ... and nothing after it.
+        assert (b.u == 0).all()
+        assert rt.spike_counts("a").sum() == 4 * 3
+
+    def test_delivery_into_disabled_group_books_syn_events(self):
+        net, a, b, _ = tiny_network()
+        rt = Runtime(net, rng=np.random.default_rng(0))
+        rt.set_bias("a", np.full(4, a.proto.vth))
+        rt.disable(["b"])
+        rt.run(10)
+        assert (b.u == 0).all() and rt.spike_counts("b").sum() == 0
+        assert rt.stats.syn_events == 9 * 4 * 2
+
+    def test_learn_off_skips_traces_only(self):
+        results = []
+        for learn in (True, False):
+            net, a, b, conn = tiny_network()
+            rt = Runtime(net, rng=np.random.default_rng(0))
+            rt.set_bias("a", np.full(4, a.proto.vth // 2))
+            rt.run(16, learn=learn)
+            results.append((rt.spike_counts("b"), rt.stats.syn_events,
+                            conn.pre_trace.values.copy()))
+        (counts_on, events_on, trace_on), (counts_off, events_off,
+                                            trace_off) = results
+        assert np.array_equal(counts_on, counts_off)
+        assert events_on == events_off
+        assert (trace_on == 8).all() and (trace_off == 0).all()
 
     def test_learning_epoch_applies_rules(self):
         net, a, b, conn = tiny_network()

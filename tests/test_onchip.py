@@ -1,9 +1,12 @@
 """Integration tests: EMSTDP on the chip simulator."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from repro.core import EMSTDPNetwork, loihi_default_config
+from repro.core import EMSTDPNetwork, kernels, loihi_default_config
 from repro.onchip import (LoihiEMSTDPTrainer, ScaleScheme,
                           build_emstdp_network, eta_exponent)
 
@@ -177,3 +180,34 @@ class TestTrainer:
         trainer.runtime.set_bias = counting
         trainer.train_sample(np.full(8, 0.5), 1)
         assert sorted(writes) == ["fwd0", "label"]
+
+
+CHIP_GOLDEN = Path(__file__).parent / "golden" / "chip_golden.npz"
+
+
+def _chip_generator():
+    spec = importlib.util.spec_from_file_location(
+        "generate_chip", CHIP_GOLDEN.with_name("generate_chip.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("backend", kernels.available_backends())
+@pytest.mark.parametrize("feedback", ["fa", "dfa"])
+def test_chip_golden(backend, feedback):
+    """Sequential and replicated inference, online and minibatch training
+    and the RunStats counters reproduce the recorded fixture exactly."""
+    gen = _chip_generator()
+    golden = np.load(CHIP_GOLDEN)
+    n = len(gen.DIMS)
+    w0 = [golden[f"{feedback}_w0_{i}"] for i in range(n - 1)]
+    b0 = [golden[f"{feedback}_b_{i}"] for i in range(n - 2)]
+    with kernels.forced_backend(backend):
+        trainer = gen.trainer(feedback, w0, b0)
+        try:
+            got = gen.record(trainer, golden["x"], golden["y"])
+        finally:
+            trainer.close()
+    for key, value in got.items():
+        assert np.array_equal(value, golden[f"{feedback}_{key}"]), key
